@@ -4,8 +4,7 @@ Each subcommand runs one stage and reads its predecessor's artifacts from
 the output directory, so stages can be rerun independently:
 
     simulate        reference traces for every configured cycle
-    extract         constants and fitted maps from the traces
-    fit-semi        assemble the map-based model (semi_model.json)
+    extract         constants and fitted maps: the map-based model (semi_model.json)
     fit-simplified  reduce it to the polynomial model (simplified_model.json)
     ingest          post-process dyno logs into (t, v, a) profiles
     validate        metric reports and comparison CSVs
@@ -175,31 +174,18 @@ def cmd_extract(cfg, args) -> int:
     doc = model_to_dict(model)
     doc["_provenance"] = _provenance(cfg)
     doc["events"] = len(ds.events)
-    with open(out / "extraction.json", "w", encoding="utf-8") as f:
+    with open(out / "semi_model.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"wrote {out / 'extraction.json'} "
+    print(f"wrote {out / 'semi_model.json'} "
           f"(idle fuel {model.constants.idle_fuel:.4f} g/s, "
           f"cut speed {model.constants.cut_speed:.2f} m/s)")
     return 0
 
 
-def cmd_fit_semi(cfg, args) -> int:
-    out = _out_dir(cfg, args)
-    path = _require(out / "extraction.json", "extract")
-    model = load_semi_model(path)
-    doc = model_to_dict(model)
-    doc["_provenance"] = _provenance(cfg)
-    with open(out / "semi_model.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(f"wrote {out / 'semi_model.json'}")
-    return 0
-
-
 def cmd_fit_simplified(cfg, args) -> int:
     out = _out_dir(cfg, args)
-    semi = load_semi_model(_require(out / "semi_model.json", "fit-semi"))
+    semi = load_semi_model(_require(out / "semi_model.json", "extract"))
     gc = cfg["grid"]
     grid = FitGrid(v_range=(0.0, semi.speed_max), a_range=tuple(gc["a_range"]),
                    grade_range=tuple(gc["grade_range"]), shape=tuple(gc["shape"]))
@@ -254,7 +240,7 @@ def cmd_ingest(cfg, args) -> int:
 
 def _model_traces_for(cfg, out: Path, base: Trace, tag: str):
     """Evaluate both reduced models on a (t, v, a) profile."""
-    semi = load_semi_model(_require(out / "semi_model.json", "fit-semi"))
+    semi = load_semi_model(_require(out / "semi_model.json", "extract"))
     simp = load_simplified(_require(out / "simplified_model.json", "fit-simplified"))
     grade = base.grade if base.grade is not None else 0.0
     semi_tr = eval_semi_trace(semi, base.t, base.v, base.a, grade, name=f"semi_{tag}")
@@ -310,8 +296,7 @@ def cmd_validate(cfg, args) -> int:
 
 
 def cmd_pipeline(cfg, args) -> int:
-    for stage in (cmd_simulate, cmd_extract, cmd_fit_semi, cmd_fit_simplified,
-                  cmd_ingest, cmd_validate):
+    for stage in (cmd_simulate, cmd_extract, cmd_fit_simplified, cmd_ingest, cmd_validate):
         code = stage(cfg, args)
         if code != 0:
             return code
@@ -351,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, help_text in (
         ("simulate", cmd_simulate, "run the reference vehicle over the configured cycles"),
-        ("extract", cmd_extract, "extract constants and fitted maps from the traces"),
-        ("fit-semi", cmd_fit_semi, "assemble the map-based model"),
+        ("extract", cmd_extract, "extract constants and fitted maps into the map-based model"),
         ("fit-simplified", cmd_fit_simplified, "fit the polynomial model"),
         ("ingest", cmd_ingest, "post-process dyno logs into (t, v, a) profiles"),
         ("validate", cmd_validate, "compute metric reports and comparison CSVs"),

@@ -41,6 +41,8 @@ class DriveCycle:
         object.__setattr__(self, "v", v)
         if t.size < 2:
             raise ParseError(f"cycle '{self.name}': needs at least 2 samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ParseError(f"cycle '{self.name}': non-finite time or speed sample")
         if t[0] != 0.0:
             raise MonotonicityError(f"cycle '{self.name}': first timestamp must be 0")
         if np.any(np.diff(t) <= 0):
@@ -51,10 +53,6 @@ class DriveCycle:
     @property
     def duration(self) -> float:
         return float(self.t[-1])
-
-    def speed_at(self, t) -> np.ndarray:
-        """Piecewise-linear speed at arbitrary times (clamped to the schedule)."""
-        return np.interp(t, self.t, self.v)
 
 
 def load_cycle(path, unit: str = "mps", name: str | None = None) -> DriveCycle:

@@ -8,7 +8,7 @@ class VcdFuelError(Exception):
 # --- drive cycle loading -----------------------------------------------------
 
 class ParseError(VcdFuelError):
-    """Malformed cycle or log file."""
+    """Malformed cycle, log or vehicle file."""
 
 
 class UnitError(VcdFuelError):

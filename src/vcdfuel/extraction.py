@@ -29,6 +29,7 @@ from .powertrain import (
     STANDSTILL_SPEED,
     ReferenceVehicle,
     VehicleParams,
+    launch_torque,
     simulate,
     transmission_output_speed,
     wheel_force,
@@ -74,13 +75,8 @@ class VcdDataset:
         for name in ("v", "a", "grade", "gear", "engine_speed", "engine_torque", "fuel", "flags"):
             cols[name] = np.concatenate([getattr(tr, name) for tr in self.traces])
         cols["output_speed"] = transmission_output_speed(self.params, cols["v"])
-        force = np.empty_like(cols["v"])
-        for k in range(1, self.params.n_gears + 1):
-            mask = cols["gear"] == k
-            if np.any(mask):
-                force[mask] = wheel_force(self.params, cols["v"][mask], cols["a"][mask],
-                                          cols["grade"][mask], k)
-        cols["wheel_force"] = force
+        cols["wheel_force"] = wheel_force(self.params, cols["v"], cols["a"], cols["grade"],
+                                          cols["gear"])
         return cols
 
 
@@ -125,12 +121,6 @@ class ExtractedConstants:
             raise ValueError("cut speed must be positive")
         if np.any(np.diff(self.downshift_cutoffs) <= 0):
             raise ValueError("downshift cutoffs must increase with gear")
-
-    def launch_torque(self, accel):
-        if not self.launch_correction:
-            return np.zeros_like(np.asarray(accel, dtype=float))
-        pts = np.asarray(self.launch_correction, dtype=float)
-        return np.interp(accel, pts[:, 0], pts[:, 1])
 
 
 def _settled_mask(t: np.ndarray, torque: np.ndarray) -> np.ndarray:
@@ -407,9 +397,8 @@ def fit_all_maps(ds: VcdDataset, fuel_degree=(2, 2), gear_degree=(1, 1),
         speed_maps.append(fit_poly2d(cols["output_speed"][n_rows], cols["wheel_force"][n_rows],
                                      cols["engine_speed"][n_rows], gear_degree, domain=box))
         torque_target = cols["engine_torque"][t_rows]
-        if k == 1 and launch_correction:
-            pts = np.asarray(launch_correction, dtype=float)
-            torque_target = torque_target - np.interp(cols["a"][t_rows], pts[:, 0], pts[:, 1])
+        if k == 1:
+            torque_target = torque_target - launch_torque(launch_correction, cols["a"][t_rows])
         torque_maps.append(fit_poly2d(cols["output_speed"][t_rows], cols["wheel_force"][t_rows],
                                       torque_target, gear_degree, domain=box))
     return FittedMaps(fuel_map=fuel_map, engine_speed_maps=speed_maps, torque_maps=torque_maps)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drive_cycles import DriveCycle, resample
-from .errors import GearOutOfRange
+from .errors import GearOutOfRange, ParseError
 from .trace import FLAG_ENVELOPE, Trace
 
 GRAVITY = 9.81  # m/s2
@@ -194,12 +194,6 @@ class ControlParams:
     # as (accel m/s2, extra torque Nm) knots; empty list means zero
     launch_correction: tuple = ()
 
-    def launch_torque(self, accel) -> np.ndarray:
-        if not self.launch_correction:
-            return np.zeros_like(np.asarray(accel, dtype=float))
-        pts = np.asarray(self.launch_correction, dtype=float)
-        return np.interp(accel, pts[:, 0], pts[:, 1])
-
 
 @dataclass(frozen=True)
 class ReferenceVehicle:
@@ -222,10 +216,21 @@ def road_load(params: VehicleParams, v):
     return params.road_load_a + params.road_load_b * v + params.road_load_c * v * v
 
 
-def wheel_force(params: VehicleParams, v, a, grade, gear: int):
-    """Demanded wheel force: inertia + road load + grade component [N]."""
-    if not 1 <= gear <= params.n_gears:
-        raise GearOutOfRange(f"gear {gear} outside [1, {params.n_gears}]")
+def wheel_force(params: VehicleParams, v, a, grade, gear):
+    """Demanded wheel force: inertia + road load + grade component [N].
+
+    ``gear`` is one gear index or an integer array of them, one per sample.
+    """
+    if isinstance(gear, (int, np.integer)):
+        # the simulator's per-step call: keep the check O(1)
+        if not 1 <= gear <= params.n_gears:
+            raise GearOutOfRange(f"gear {gear} outside [1, {params.n_gears}]")
+    else:
+        gear = np.asarray(gear)
+        bad = (gear < 1) | (gear > params.n_gears)
+        if np.any(bad):
+            raise GearOutOfRange(
+                f"gear {np.unique(gear[bad]).tolist()} outside [1, {params.n_gears}]")
     return (params.gear_masses[gear - 1] * np.asarray(a, dtype=float)
             + road_load(params, v)
             + params.mass * GRAVITY * np.sin(grade))
@@ -234,6 +239,15 @@ def wheel_force(params: VehicleParams, v, a, grade, gear: int):
 def transmission_output_speed(params: VehicleParams, v):
     """Transmission output shaft speed [rad/s] at vehicle speed v [m/s]."""
     return np.asarray(v, dtype=float) * params.final_drive / params.tire_radius
+
+
+def launch_torque(knots, accel):
+    """First-gear torque correction [Nm]: piecewise-linear over
+    (accel m/s2, extra torque Nm) knots, zero when there are none."""
+    if not knots:
+        return np.zeros_like(np.asarray(accel, dtype=float))
+    pts = np.asarray(knots, dtype=float)
+    return np.interp(accel, pts[:, 0], pts[:, 1])
 
 
 def select_gear(maps: GearShiftMaps, n_gears: int, prev_gear: int, v: float, pedal: float) -> int:
@@ -265,10 +279,11 @@ def max_wheel_torque_gear(params: VehicleParams, maps: GearShiftMaps, v, gear: i
     return np.where(n <= params.engine_speed_max, t_engine * ratio * params.driveline_eff, 0.0)
 
 
-def max_wheel_torque(params: VehicleParams, maps: GearShiftMaps, v):
-    """Peak wheel torque over all gears; the pedal normalization curve."""
-    per_gear = [max_wheel_torque_gear(params, maps, v, k) for k in range(1, params.n_gears + 1)]
-    return np.max(np.stack(per_gear), axis=0)
+def max_wheel_torque_by_gear(params: VehicleParams, maps: GearShiftMaps, v):
+    """Peak wheel torque of every gear, one row per gear; the maximum over
+    gears is the pedal normalization curve."""
+    return np.stack([max_wheel_torque_gear(params, maps, v, k)
+                     for k in range(1, params.n_gears + 1)])
 
 
 # --- simulation --------------------------------------------------------------
@@ -296,7 +311,7 @@ def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float 
     fuel = np.zeros(n_steps)
     flags = np.zeros(n_steps, dtype=int)
 
-    t_wmax = max_wheel_torque(p, vehicle.shift_maps, v)
+    t_wmax = np.max(max_wheel_torque_by_gear(p, vehicle.shift_maps, v), axis=0)
     prev_gear = 1
     prev_pedal = 0.0
     for i in range(n_steps):
@@ -320,7 +335,7 @@ def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float 
                               p.engine_speed_idle, p.engine_speed_max))
         torque = force * p.tire_radius / (ratio * p.driveline_eff)
         if k == 1:
-            torque += float(ctl.launch_torque(a[i]))
+            torque += float(launch_torque(ctl.launch_correction, a[i]))
         t_cap = float(vehicle.shift_maps.max_engine_torque(n_eng))
         if torque > t_cap:
             torque = t_cap
@@ -434,8 +449,14 @@ def vehicle_from_dict(doc: dict) -> ReferenceVehicle:
 
 
 def load_vehicle(path) -> ReferenceVehicle:
+    """Read a vehicle JSON; a missing key or an invalid value is a ParseError."""
     with open(path, encoding="utf-8") as f:
-        return vehicle_from_dict(json.load(f))
+        try:
+            return vehicle_from_dict(json.load(f))
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def save_vehicle(vehicle: ReferenceVehicle, path) -> None:

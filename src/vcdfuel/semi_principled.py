@@ -34,8 +34,8 @@ from .powertrain import (
     GearShiftMaps,
     ReferenceVehicle,
     VehicleParams,
-    max_wheel_torque,
-    max_wheel_torque_gear,
+    launch_torque,
+    max_wheel_torque_by_gear,
     params_from_dict,
     params_to_dict,
     road_load,
@@ -86,8 +86,9 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     """Vectorized model evaluation.
 
     Returns a dict of arrays: gear, engine_speed, engine_torque, pedal,
-    fuel, flags. Inputs outside the defined domain are clamped and flagged;
-    map inputs outside the fitted boxes likewise.
+    fuel, flags, and map_force, the capped wheel force the selected gear's
+    driveline maps were evaluated at. Inputs outside the defined domain are
+    clamped and flagged; map inputs outside the fitted boxes likewise.
     """
     p = model.params
     c = model.constants
@@ -104,15 +105,22 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     grade = np.clip(grade, *GRADE_LIMITS)
 
     # pedal estimate from demanded wheel torque against the peak-torque curve
+    # over all gears
     force_est = p.mass * a + road_load(p, v) + p.mass * GRAVITY * np.sin(grade)
-    t_wmax = max_wheel_torque(p, model.shift_maps, v)
+    t_gear = max_wheel_torque_by_gear(p, model.shift_maps, v)
+    t_wmax = np.max(t_gear, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         pedal = np.where(t_wmax > 0,
                          100.0 * np.maximum(force_est, 0.0) * p.tire_radius / t_wmax, 0.0)
     pedal = np.clip(pedal, 0.0, 100.0)
 
     gear = select_gear_stateless(model, v, pedal)
-    force = p.gear_masses[gear - 1] * a + road_load(p, v) + p.mass * GRAVITY * np.sin(grade)
+    force = wheel_force(p, v, a, grade, gear)
+    # demanded force capped by the gear's peak wheel torque before the maps
+    # see it; the raw demand still decides the fuel cut below
+    f_cap = np.take_along_axis(t_gear, gear[None] - 1, axis=0)[0] / p.tire_radius
+    map_force = np.minimum(force, f_cap)
+    flags |= np.where(force > f_cap, FLAG_ENVELOPE, 0)
     n_out = transmission_output_speed(p, v)
 
     engine_speed = np.zeros_like(v)
@@ -121,19 +129,14 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
         mask = gear == k
         if not np.any(mask):
             continue
-        # demanded force capped by the gear's peak wheel torque before the
-        # maps see it; the raw demand still decides the fuel cut below
-        f_cap = max_wheel_torque_gear(p, model.shift_maps, v[mask], k) / p.tire_radius
-        f_used = np.minimum(force[mask], f_cap)
-        flags[mask] |= np.where(force[mask] > f_cap, FLAG_ENVELOPE, 0)
         n_map = model.engine_speed_maps[k - 1]
         t_map = model.torque_maps[k - 1]
-        oob = n_map.out_of_domain(n_out[mask], f_used) \
-            | t_map.out_of_domain(n_out[mask], f_used)
-        flags[mask] |= np.where(oob, FLAG_CLAMPED, 0)
-        engine_speed[mask] = n_map.evaluate(n_out[mask], f_used, clamp=True)
-        engine_torque[mask] = t_map.evaluate(n_out[mask], f_used, clamp=True)
-    engine_torque[gear == 1] += c.launch_torque(a[gear == 1])
+        x, y = n_out[mask], map_force[mask]
+        flags[mask] |= np.where(n_map.out_of_domain(x, y) | t_map.out_of_domain(x, y),
+                                FLAG_CLAMPED, 0)
+        engine_speed[mask] = n_map.evaluate(x, y, clamp=True)
+        engine_torque[mask] = t_map.evaluate(x, y, clamp=True)
+    engine_torque[gear == 1] += launch_torque(c.launch_correction, a[gear == 1])
 
     engine_speed = np.clip(engine_speed, p.engine_speed_idle, p.engine_speed_max)
     t_cap = model.shift_maps.max_engine_torque(engine_speed)
@@ -154,39 +157,30 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     fuel[idle] = c.idle_fuel
 
     return {"gear": gear, "engine_speed": engine_speed, "engine_torque": engine_torque,
-            "pedal": pedal, "fuel": fuel, "flags": flags}
+            "pedal": pedal, "fuel": fuel, "flags": flags, "map_force": map_force}
 
 
-def domain_excess(model: SemiPrincipledModel, v, a, grade=0.0):
-    """How far the driveline-map inputs fall outside their fitted boxes.
+def domain_excess(model: SemiPrincipledModel, v, out: dict):
+    """How far the driveline-map inputs of one evaluation fall outside their
+    fitted boxes.
 
-    Returns the largest fractional overshoot (relative to each box's span)
-    of (output speed, wheel force) against the selected gear's map domains;
-    zero inside. Useful to tell deep extrapolation from boundary grazing.
+    ``out`` is what ``evaluate`` returned for speeds ``v``. Returns the
+    largest fractional overshoot (relative to each box's span) of (output
+    speed, map force) against the selected gear's map domains; zero inside.
+    Useful to tell deep extrapolation from boundary grazing.
     """
-    p = model.params
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    a = np.broadcast_to(np.asarray(a, dtype=float), v.shape)
-    grade = np.broadcast_to(np.asarray(grade, dtype=float), v.shape)
-    out = evaluate(model, v, a, grade)
-    gear = out["gear"]
-    force = p.gear_masses[gear - 1] * np.clip(a, *ACCEL_LIMITS) \
-        + road_load(p, np.clip(v, 0, model.speed_max)) \
-        + p.mass * GRAVITY * np.sin(np.clip(grade, *GRADE_LIMITS))
-    n_out = transmission_output_speed(p, np.clip(v, 0, model.speed_max))
+    v = np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, model.speed_max)
+    n_out = transmission_output_speed(model.params, v)
     excess = np.zeros_like(n_out)
-    for k in range(1, p.n_gears + 1):
-        mask = gear == k
+    for k in range(1, model.params.n_gears + 1):
+        mask = out["gear"] == k
         if not np.any(mask):
             continue
-        f_cap = max_wheel_torque_gear(p, model.shift_maps, np.clip(v, 0, model.speed_max)[mask], k) \
-            / p.tire_radius
-        f_used = np.minimum(force[mask], f_cap)
+        inputs = (n_out[mask], out["map_force"][mask])
         for poly in (model.engine_speed_maps[k - 1], model.torque_maps[k - 1]):
-            (x0, x1), (y0, y1) = poly.domain
-            ex = np.maximum(np.maximum(x0 - n_out[mask], n_out[mask] - x1), 0.0) / max(x1 - x0, 1e-9)
-            ey = np.maximum(np.maximum(y0 - f_used, f_used - y1), 0.0) / max(y1 - y0, 1e-9)
-            excess[mask] = np.maximum(excess[mask], np.maximum(ex, ey))
+            for x, (lo, hi) in zip(inputs, poly.domain):
+                over = np.maximum(np.maximum(lo - x, x - hi), 0.0) / max(hi - lo, 1e-9)
+                excess[mask] = np.maximum(excess[mask], over)
     return excess
 
 

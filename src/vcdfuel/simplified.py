@@ -169,42 +169,39 @@ def fit_simplified(semi: SemiPrincipledModel, grid: FitGrid | None = None,
     grid = grid or default_grid(semi)
 
     def fuel_fn(v, a, grade):
-        return evaluate(semi, v, a, grade)["fuel"]
-
-    def usable_fn(v, a, grade):
-        pinned = (evaluate(semi, v, a, grade)["flags"] & (FLAG_ENVELOPE | FLAG_FLOOR)) != 0
-        return ~pinned & (domain_excess(semi, v, a, grade) <= extrapolation_margin)
+        out = evaluate(semi, v, a, grade)
+        pinned = (out["flags"] & (FLAG_ENVELOPE | FLAG_FLOOR)) != 0
+        usable = ~pinned & (domain_excess(semi, v, out) <= extrapolation_margin)
+        return np.ma.masked_array(out["fuel"], mask=~usable)
 
     return fit_to_function(fuel_fn, cut_speed=semi.constants.cut_speed,
-                           beta=semi.constants.idle_fuel, grid=grid, degrees=degrees,
-                           usable_fn=usable_fn)
+                           beta=semi.constants.idle_fuel, grid=grid, degrees=degrees)
 
 
 def fit_to_function(fuel_fn, cut_speed: float, beta: float, grid: FitGrid,
-                    degrees: dict | None = None, usable_fn=None) -> SimplifiedModel:
+                    degrees: dict | None = None) -> SimplifiedModel:
     """L2 fit of an arbitrary fuel function f(v, a, grade) on a midpoint grid.
 
-    fuel_fn must accept equal-shaped arrays and return fuel in g/s, with
-    zeros marking its fuel-cut region. Cells in that region, standstill
-    cells, and cells usable_fn rejects are excluded from the polynomial
-    fit; the cut boundary gets its own least-squares polynomial. The
-    constant term of C is raised afterwards if the minimum of the
-    polynomial along the boundary at zero grade falls to zero or below.
+    fuel_fn is sampled once. It must accept equal-shaped arrays and return
+    fuel in g/s, with zeros marking its fuel-cut region. It may return a
+    masked array: masked cells are left out of the polynomial fit, but
+    their zeros still mark the cut region. Cut-region and standstill cells
+    are excluded from the polynomial fit too; the cut boundary gets its
+    own least-squares polynomial. The constant term of C is raised
+    afterwards if the minimum of the polynomial along the boundary at zero
+    grade falls to zero or below.
     """
     deg = dict(DEFAULT_DEGREES)
     if degrees:
         deg.update(degrees)
     v_ax, a_ax, g_ax = grid.axes()
     vg, ag, gg = np.meshgrid(v_ax, a_ax, g_ax, indexing="ij")
-    fuel = np.asarray(fuel_fn(vg.ravel(), ag.ravel(), gg.ravel()), dtype=float)
-    fuel = fuel.reshape(vg.shape)
+    sample = fuel_fn(vg.ravel(), ag.ravel(), gg.ravel())
+    fuel = np.asarray(np.ma.getdata(sample), dtype=float).reshape(vg.shape)
 
     cut_cells = (fuel == 0.0) & (vg > cut_speed)
     idle_cells = vg < STANDSTILL_SPEED
-    include = ~cut_cells & ~idle_cells
-    if usable_fn is not None:
-        usable = np.asarray(usable_fn(vg.ravel(), ag.ravel(), gg.ravel()), dtype=bool)
-        include &= usable.reshape(vg.shape)
+    include = ~cut_cells & ~idle_cells & ~np.ma.getmaskarray(sample).reshape(vg.shape)
 
     boundary = _fit_cut_boundary(v_ax, a_ax, g_ax, cut_cells, cut_speed)
     v_scale = max(abs(grid.v_range[0]), abs(grid.v_range[1]), 1e-12)

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
 from vcdfuel.cli import load_config, main
-from vcdfuel.trace import read_trace_csv
+from vcdfuel.powertrain import STANDSTILL_SPEED, vehicle_to_dict
+from vcdfuel.synthetic import default_vehicle
+from vcdfuel.trace import read_trace_csv, write_trace_csv
 from vcdfuel.validation import build_report
 
 
@@ -27,13 +30,13 @@ class TestStages:
             assert (pipeline_out / "traces" / f"{name}_reference.csv").exists()
 
     def test_pipeline_artifacts_present(self, pipeline_out):
-        for artifact in ("extraction.json", "semi_model.json", "simplified_model.json"):
+        for artifact in ("semi_model.json", "simplified_model.json"):
             assert (pipeline_out / artifact).exists()
         assert (pipeline_out / "reports" / "report.json").exists()
         assert list((pipeline_out / "profiles").glob("*_profile.csv"))
 
     def test_artifacts_carry_provenance(self, pipeline_out):
-        for artifact in ("extraction.json", "semi_model.json", "simplified_model.json"):
+        for artifact in ("semi_model.json", "simplified_model.json"):
             doc = json.loads((pipeline_out / artifact).read_text())
             prov = doc["_provenance"]
             assert prov["tool"] == "vcdfuel"
@@ -54,12 +57,51 @@ class TestStages:
     def test_fit_simplified_without_semi_model_exits_2(self, tmp_path, capsys):
         code = main(["fit-simplified", "--out", str(tmp_path)])
         assert code == 2
-        assert "semi_model.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "semi_model.json" in err and "vcdfuel extract" in err
 
     def test_extract_without_traces_names_prerequisite(self, tmp_path, capsys):
         code = main(["extract", "--out", str(tmp_path)])
         assert code == 2
         assert "simulate" in capsys.readouterr().err
+
+
+class TestBadInputsExit1:
+    def test_out_of_range_gear_in_trace_csv(self, pipeline_out, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out / "traces", out / "traces")
+        path = out / "traces" / "urban_reference.csv"
+        trace = read_trace_csv(path)
+        trace.gear[trace.v >= STANDSTILL_SPEED] = 0
+        write_trace_csv(trace, path)
+        assert main(["extract", "--out", str(out)]) == 1
+        assert "gear [0] outside [1, " in capsys.readouterr().err
+        assert not (out / "semi_model.json").exists()
+
+    def test_non_finite_cycle(self, tmp_path, capsys):
+        cycle = tmp_path / "bad.csv"
+        cycle.write_text("t,v\n0,0\n1,nan\n2,3\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cycles": [str(cycle)]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "traces" / "bad_reference.csv").exists()
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda params: params.pop("mass_kg"), "missing key 'mass_kg'"),
+        (lambda params: params.update(mass_kg=-1.0), "masses must be positive"),
+    ], ids=["missing-mass", "negative-mass"])
+    def test_bad_vehicle_json(self, tmp_path, capsys, edit, reason):
+        doc = vehicle_to_dict(default_vehicle())
+        edit(doc["params"])
+        vehicle = tmp_path / "veh.json"
+        vehicle.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"vehicle": str(vehicle)}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(vehicle) in err and reason in err
 
 
 class TestDeterminism:
@@ -120,7 +162,6 @@ class TestPlotsAndDynoPairs:
         out = tmp_path / "svg"
         assert main(["simulate", "--out", str(out)]) == 0
         assert main(["extract", "--out", str(out)]) == 0
-        assert main(["fit-semi", "--out", str(out)]) == 0
         assert main(["fit-simplified", "--out", str(out)]) == 0
         assert main(["validate", "--out", str(out), "--plots"]) == 0
         svgs = list((out / "reports").glob("*.svg"))

@@ -66,6 +66,16 @@ class TestLoadCycle:
         with pytest.raises(ParseError):
             load_cycle(path)
 
+    @pytest.mark.parametrize("rows", [
+        [(0, 0), (1, "nan"), (2, 3)],
+        [(0, 0), (1, "inf"), (2, 3)],
+        [(0, 0), ("nan", 2), (2, 3)],
+    ], ids=["nan-speed", "inf-speed", "nan-timestamp"])
+    def test_non_finite_sample_rejected(self, tmp_path, rows):
+        path = write_csv(tmp_path / "c.csv", rows)
+        with pytest.raises(ParseError, match="non-finite"):
+            load_cycle(path)
+
     def test_save_round_trip(self, tmp_path):
         cycle = DriveCycle("rt", [0, 1, 2.5], [0.0, 3.0, 1.5])
         save_cycle(cycle, tmp_path / "rt.csv", unit="kph")

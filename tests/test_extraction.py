@@ -322,6 +322,19 @@ class TestExtractionDeterminism:
         assert np.array_equal(a, b)
 
 
+class TestStacked:
+    def test_wheel_force_matches_per_gear_loop(self, dataset):
+        p = dataset.params
+        expected = []
+        for tr in dataset.traces:
+            force = np.empty(len(tr))
+            for k in range(1, p.n_gears + 1):
+                m = tr.gear == k
+                force[m] = wheel_force(p, tr.v[m], tr.a[m], tr.grade[m], k)
+            expected.append(force)
+        assert np.array_equal(dataset.stacked()["wheel_force"], np.concatenate(expected))
+
+
 class TestFuelCutConstantSample:
     def test_all_cut_speeds_equal(self, vehicle):
         # hand-built trace: every moving zero-fuel step at exactly 10 m/s

@@ -77,6 +77,11 @@ class TestWheelForce:
             wheel_force(params, 10.0, 0.0, 0.0, 0)
         with pytest.raises(GearOutOfRange):
             wheel_force(params, 10.0, 0.0, 0.0, params.n_gears + 1)
+        # a gear array: the message names the bad values, not the array
+        gears = np.array([1, 0, 2, params.n_gears + 1, 0])
+        with pytest.raises(GearOutOfRange,
+                           match=rf"^gear \[0, {params.n_gears + 1}\] outside \[1, "):
+            wheel_force(params, np.full(5, 10.0), 0.0, 0.0, gears)
 
 
 class TestOutputSpeed:

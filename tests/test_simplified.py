@@ -2,6 +2,14 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+from vcdfuel import simplified
+from vcdfuel.powertrain import (
+    GRAVITY,
+    max_wheel_torque_gear,
+    road_load,
+    transmission_output_speed,
+)
+from vcdfuel.semi_principled import ACCEL_LIMITS, GRADE_LIMITS, domain_excess, evaluate
 from vcdfuel.simplified import (
     CUT_BOUNDARY_TERMS,
     FitGrid,
@@ -195,6 +203,50 @@ class TestStructure:
         fine_surface = fine.positive_part(vv, aa, 0.0)
         scale = np.max(np.abs(coarse_surface))
         assert np.max(np.abs(fine_surface - coarse_surface)) < 0.01 * scale
+
+
+def reference_domain_excess(model, v, a, grade):
+    """Map-domain overshoot with the wheel force and each gear's force cap
+    recomputed by hand for the gears ``evaluate`` selects."""
+    p = model.params
+    gear = evaluate(model, v, a, grade)["gear"]
+    v = np.clip(v, 0, model.speed_max)
+    force = p.gear_masses[gear - 1] * np.clip(a, *ACCEL_LIMITS) + road_load(p, v) \
+        + p.mass * GRAVITY * np.sin(np.clip(grade, *GRADE_LIMITS))
+    n_out = transmission_output_speed(p, v)
+    excess = np.zeros_like(n_out)
+    for k in range(1, p.n_gears + 1):
+        mask = gear == k
+        if not np.any(mask):
+            continue
+        f_cap = max_wheel_torque_gear(p, model.shift_maps, v[mask], k) / p.tire_radius
+        f_used = np.minimum(force[mask], f_cap)
+        for poly in (model.engine_speed_maps[k - 1], model.torque_maps[k - 1]):
+            (x0, x1), (y0, y1) = poly.domain
+            ex = np.maximum(np.maximum(x0 - n_out[mask], n_out[mask] - x1), 0.0) / max(x1 - x0, 1e-9)
+            ey = np.maximum(np.maximum(y0 - f_used, f_used - y1), 0.0) / max(y1 - y0, 1e-9)
+            excess[mask] = np.maximum(excess[mask], np.maximum(ex, ey))
+    return excess
+
+
+class TestSinglePass:
+    def test_fit_evaluates_semi_model_once(self, semi_model, monkeypatch):
+        calls = []
+
+        def counting_evaluate(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(simplified, "evaluate", counting_evaluate)
+        fit_simplified(semi_model)
+        assert len(calls) == 1
+
+    def test_domain_excess_matches_recomputation(self, semi_model):
+        axes = default_grid(semi_model).axes()
+        v, a, grade = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+        excess = domain_excess(semi_model, v, evaluate(semi_model, v, a, grade))
+        assert np.any(excess > 0)
+        assert np.array_equal(excess, reference_domain_excess(semi_model, v, a, grade))
 
 
 class TestFitGrid:
