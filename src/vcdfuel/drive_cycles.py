@@ -7,12 +7,12 @@ time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_columns, write_columns
 from .errors import InvalidDt, MonotonicityError, ParseError, UnitError
 
 # factors converting the named unit TO m/s
@@ -70,46 +70,17 @@ def load_cycle(path, unit: str = "mps", name: str | None = None) -> DriveCycle:
     path = Path(path)
     if unit not in _UNIT_FACTORS:
         raise UnitError(f"unknown unit '{unit}' (expected one of {sorted(_UNIT_FACTORS)})")
-    factor = _UNIT_FACTORS[unit]
-
-    ts, vs = [], []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["t", "v"]:
-            raise ParseError(f"{path}: expected header 't,v', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path}:{lineno}: expected two columns")
-            try:
-                ts.append(float(row[0]))
-                vs.append(float(row[1]) * factor)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if len(ts) < 2:
-        raise ParseError(f"{path}: needs at least 2 samples, got {len(ts)}")
-
-    t = np.array(ts)
-    if np.any(np.diff(t) <= 0):
-        raise MonotonicityError(f"{path}: timestamps not strictly increasing")
-    return DriveCycle(name=name or path.stem, t=t, v=np.array(vs))
+    data = read_columns(path)
+    if list(data) != ["t", "v"]:
+        raise ParseError(f"{path}: expected header 't,v', got {','.join(data)!r}")
+    return DriveCycle(name=name or path.stem, t=data["t"], v=data["v"] * _UNIT_FACTORS[unit])
 
 
 def save_cycle(cycle: DriveCycle, path, unit: str = "mps") -> None:
     """Write a cycle back to `t,v` CSV in the requested unit."""
     if unit not in _UNIT_FACTORS:
         raise UnitError(f"unknown unit '{unit}'")
-    factor = _UNIT_FACTORS[unit]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "v"])
-        for t, v in zip(cycle.t, cycle.v):
-            writer.writerow([f"{t:.10g}", f"{v / factor:.10g}"])
+    write_columns(path, {"t": cycle.t, "v": cycle.v / _UNIT_FACTORS[unit]}, "{:.10g}".format)
 
 
 def resample(cycle: DriveCycle, dt: float) -> DriveCycle:

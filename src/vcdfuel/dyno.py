@@ -10,16 +10,17 @@ Warm-up data is dropped via an engine water temperature window first.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import read_columns, write_columns
 from .errors import (
     BoundNotReached,
     InsufficientData,
+    MonotonicityError,
     NeverHot,
     NonPositiveSlope,
     ParseError,
@@ -61,13 +62,13 @@ class DynoLog:
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             if arr.shape != self.t.shape:
-                raise ValueError(f"column '{name}' length mismatch")
+                raise ParseError(f"dyno log '{self.name}': column '{name}' length mismatch")
         if np.any(np.diff(self.t) < 0):
-            raise ValueError("dyno timestamps must be non-decreasing")
+            raise MonotonicityError(f"dyno log '{self.name}': timestamps must be non-decreasing")
         if np.any(self.fuel_gps < 0):
-            raise ValueError("fuel must be nonnegative")
+            raise ParseError(f"dyno log '{self.name}': fuel must be nonnegative")
         if not np.all(np.isfinite(self.water_temp_c)):
-            raise ValueError("water temperature must be finite")
+            raise ParseError(f"dyno log '{self.name}': water temperature must be finite")
 
     def __len__(self):
         return self.t.size
@@ -90,32 +91,14 @@ class DynoLog:
 
 
 def read_dyno_csv(path, name: str | None = None) -> DynoLog:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != DYNO_COLUMNS:
-            raise ParseError(f"{path}: expected header {','.join(DYNO_COLUMNS)}")
-        rows = {col: [] for col in DYNO_COLUMNS}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(DYNO_COLUMNS):
-                raise ParseError(f"{path}:{lineno}: expected {len(DYNO_COLUMNS)} columns")
-            for col, cell in zip(DYNO_COLUMNS, row):
-                try:
-                    rows[col].append(float(cell))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad value {cell!r}") from None
-    return DynoLog(name=name or Path(path).stem,
-                   **{col: np.array(vals) for col, vals in rows.items()})
+    data = read_columns(path)
+    if tuple(data) != DYNO_COLUMNS:
+        raise ParseError(f"{path}: expected header {','.join(DYNO_COLUMNS)}")
+    return DynoLog(name=name or Path(path).stem, **data)
 
 
 def write_dyno_csv(log: DynoLog, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(DYNO_COLUMNS)
-        for i in range(len(log)):
-            writer.writerow([repr(float(getattr(log, col)[i])) for col in DYNO_COLUMNS])
+    write_columns(path, {col: getattr(log, col) for col in DYNO_COLUMNS}, repr)
 
 
 # --- speed reconstruction ----------------------------------------------------
@@ -285,12 +268,7 @@ def process_log(log: DynoLog, dt: float = 0.1, bound: float = ACCEL_BOUND,
 
 
 def write_profile(profile: ProcessedProfile, csv_path, sidecar_path=None) -> None:
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "v_mps", "a_mps2"])
-        for i in range(profile.t.size):
-            writer.writerow([repr(float(profile.t[i])), repr(float(profile.v[i])),
-                             repr(float(profile.a[i]))])
+    write_columns(csv_path, {"t": profile.t, "v_mps": profile.v, "a_mps2": profile.a}, repr)
     if sidecar_path is not None:
         with open(sidecar_path, "w", encoding="utf-8") as f:
             json.dump(profile.provenance, f, indent=1, sort_keys=True)
@@ -306,7 +284,7 @@ def log_to_trace(log: DynoLog, profile: ProcessedProfile) -> Trace:
     idx = np.clip(np.searchsorted(uniform.t, t - 1e-12), 0, len(uniform) - 1)
     return Trace(name=log.name, t=t, v=profile.v, a=profile.a,
                  grade=np.zeros_like(t),
-                 gear=uniform.gear[idx].astype(int),
+                 gear=uniform.gear[idx],
                  engine_speed=np.interp(t, uniform.t, uniform.engine_rpm) / RADPS_TO_RPM,
                  engine_torque=np.interp(t, uniform.t, uniform.engine_torque_nm),
                  pedal=np.interp(t, uniform.t, uniform.pedal_pct),

@@ -9,13 +9,13 @@ as None.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .csvio import read_columns, write_columns
+from .errors import MonotonicityError, ParseError
 
 RADPS_TO_RPM = 60.0 / (2.0 * np.pi)
 
@@ -48,14 +48,17 @@ class Trace:
             if val is not None:
                 val = np.asarray(val, dtype=float)
                 if val.shape != self.t.shape:
-                    raise ValueError(f"column '{col}' length {val.size} != t length {self.t.size}")
+                    raise ParseError(f"trace '{self.name}': column '{col}' length mismatch")
                 setattr(self, col, val)
         for col in ("gear", "flags"):
             val = getattr(self, col)
             if val is not None:
-                setattr(self, col, np.asarray(val, dtype=int))
+                ints = np.asarray(val).astype(int, copy=False)
+                if np.any(ints != val):
+                    raise ParseError(f"trace '{self.name}': column '{col}' holds non-integers")
+                setattr(self, col, ints)
         if self.t.size and np.any(np.diff(self.t) <= 0):
-            raise ValueError("trace timestamps must be strictly increasing")
+            raise MonotonicityError(f"trace '{self.name}': timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return self.t.size
@@ -69,44 +72,19 @@ class Trace:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    cols = trace.columns()
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t"] + cols)
-        for i in range(len(trace)):
-            # repr round-trips float64 exactly, so rows sitting on mask
-            # thresholds (standstill speed, torque floor) survive re-reading
-            row = [repr(float(trace.t[i]))]
-            for col in cols:
-                val = getattr(trace, col)[i]
-                if col in ("gear", "flags"):
-                    row.append(str(int(val)))
-                else:
-                    row.append(repr(float(val)))
-            writer.writerow(row)
+    # repr round-trips float64 exactly, so rows sitting on mask thresholds
+    # (standstill speed, torque floor) survive re-reading
+    write_columns(path, {"t": trace.t, **{col: getattr(trace, col) for col in trace.columns()}},
+                  repr)
 
 
 def read_trace_csv(path, name: str | None = None) -> Trace:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header[0] != "t":
-            raise ParseError(f"{path}: expected a trace CSV starting with column 't'")
-        data: dict[str, list[float]] = {col: [] for col in header}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} columns")
-            for col, cell in zip(header, row):
-                try:
-                    data[col].append(float(cell))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad value {cell!r}") from None
+    data = read_columns(path)
+    if next(iter(data)) != "t":
+        raise ParseError(f"{path}: expected a trace CSV starting with column 't'")
     known = {f.name for f in fields(Trace)} - {"name"}
-    extra = [c for c in header if c not in known]
+    extra = [c for c in data if c not in known]
     if extra:
         raise ParseError(f"{path}: unknown columns {extra}")
-    kwargs = {col: np.array(vals) for col, vals in data.items()}
-    return Trace(name=name or path.stem, **kwargs)
+    return Trace(name=name or path.stem, **data)

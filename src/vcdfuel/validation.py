@@ -10,13 +10,13 @@ dyno tables; everything is SI internally.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_columns
 from .errors import LengthMismatch, NoOverlap, ZeroReference
 from .trace import RADPS_TO_RPM, Trace
 
@@ -80,8 +80,10 @@ def cumulative_fuel(trace_or_t, fuel=None) -> tuple[float, np.ndarray]:
 
 def cumulative_error_pct(ref: Trace, model: Trace) -> float:
     """Relative total-fuel error in percent of the reference total."""
-    total_ref, _ = cumulative_fuel(ref)
-    total_model, _ = cumulative_fuel(model)
+    return _error_pct(cumulative_fuel(ref)[0], cumulative_fuel(model)[0])
+
+
+def _error_pct(total_ref: float, total_model: float) -> float:
     if total_ref <= 0:
         raise ZeroReference("reference trace consumed no fuel")
     return 100.0 * abs(total_model - total_ref) / total_ref
@@ -149,7 +151,11 @@ class ValidationReport:
 
 
 def compare_pair(cycle: str, ref: Trace, model: Trace, dt: float = 0.1) -> PairMetrics:
-    pair = align(ref, model, dt)
+    return _pair_metrics(cycle, ref, model, align(ref, model, dt), dt)
+
+
+def _pair_metrics(cycle: str, ref: Trace, model: Trace, pair: AlignedPair,
+                  dt: float) -> PairMetrics:
     total_ref, _ = cumulative_fuel(ref)
     total_model, _ = cumulative_fuel(model)
     rec = PairMetrics(
@@ -157,7 +163,7 @@ def compare_pair(cycle: str, ref: Trace, model: Trace, dt: float = 0.1) -> PairM
         mae_fuel_gps=mae(pair.ref["fuel"], pair.model["fuel"]),
         cumulative_fuel_ref_g=total_ref,
         cumulative_fuel_model_g=total_model,
-        cumulative_error_pct=cumulative_error_pct(ref, model),
+        cumulative_error_pct=_error_pct(total_ref, total_model),
     )
     if "engine_speed" in pair.ref and "engine_speed" in pair.model:
         rec.mae_engine_speed_rpm = mae(pair.ref["engine_speed"] * RADPS_TO_RPM,
@@ -176,19 +182,15 @@ def write_comparison_csv(pair: AlignedPair, path) -> None:
     cumulative fuel, gear, engine speed, engine torque."""
     _, cum_ref = cumulative_fuel(pair.t, pair.ref["fuel"])
     _, cum_model = cumulative_fuel(pair.t, pair.model["fuel"])
-    cols = [("t", pair.t),
-            ("fuel_ref_gps", pair.ref["fuel"]), ("fuel_model_gps", pair.model["fuel"]),
-            ("cumfuel_ref_g", cum_ref), ("cumfuel_model_g", cum_model)]
+    cols = {"t": pair.t,
+            "fuel_ref_gps": pair.ref["fuel"], "fuel_model_gps": pair.model["fuel"],
+            "cumfuel_ref_g": cum_ref, "cumfuel_model_g": cum_model}
     for key, label in (("gear", "gear"), ("engine_speed", "engine_speed_radps"),
                        ("engine_torque", "engine_torque_nm"), ("pedal", "pedal_pct")):
         if key in pair.ref and key in pair.model:
-            cols.append((f"{label}_ref", pair.ref[key]))
-            cols.append((f"{label}_model", pair.model[key]))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([name for name, _ in cols])
-        for i in range(pair.t.size):
-            writer.writerow([f"{arr[i]:.10g}" for _, arr in cols])
+            cols[f"{label}_ref"] = pair.ref[key]
+            cols[f"{label}_model"] = pair.model[key]
+    write_columns(path, cols, "{:.10g}".format)
 
 
 def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = 0.1,
@@ -202,9 +204,9 @@ def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = 0.1,
         raise ValueError("need at least one pair")
     records = []
     for cycle, ref, model in pairs:
-        records.append(compare_pair(cycle, ref, model, dt))
+        pair = align(ref, model, dt)
+        records.append(_pair_metrics(cycle, ref, model, pair, dt))
         if out_dir is not None:
-            pair = align(ref, model, dt)
             path = Path(out_dir) / f"{cycle}_{model.name}_vs_{ref.name}.csv"
             write_comparison_csv(pair, path)
     return ValidationReport(records=records)

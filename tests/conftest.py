@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from vcdfuel.extraction import run_vcd
 from vcdfuel.semi_principled import build_semi_model
 from vcdfuel.simplified import fit_simplified
 from vcdfuel.synthetic import builtin_cycles, default_vehicle
+
+# fixed seed and no example database: every run draws the same examples
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

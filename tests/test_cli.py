@@ -5,8 +5,9 @@ import shutil
 import pytest
 
 from vcdfuel.cli import load_config, main
+from vcdfuel.dyno import DYNO_COLUMNS, write_dyno_csv
 from vcdfuel.powertrain import STANDSTILL_SPEED, vehicle_to_dict
-from vcdfuel.synthetic import default_vehicle
+from vcdfuel.synthetic import cruise_cycle, default_vehicle, make_dyno_log
 from vcdfuel.trace import read_trace_csv, write_trace_csv
 from vcdfuel.validation import build_report
 
@@ -66,7 +67,64 @@ class TestStages:
         assert "simulate" in capsys.readouterr().err
 
 
+TRACE_HEADER = "t,v,gear,fuel\n"
+DYNO_HEADER = ",".join(DYNO_COLUMNS) + "\n"
+DYNO_ROW = "0,20,1500,80,20,1.2,90,2,500\n"
+MALFORMED = [
+    # (config key, stage, file contents, expected message)
+    ("validate_pairs", "validate", TRACE_HEADER + "0,0,1,0.5\n1,1,1,nan\n", "non-finite"),
+    ("validate_pairs", "validate", "t,v,v\n0,0,0\n1,1,1\n", "repeated column"),
+    ("validate_pairs", "validate", TRACE_HEADER + "0,0,1,0.5\n1,1,1.5,0.6\n", "non-integers"),
+    ("validate_pairs", "validate", TRACE_HEADER, "no data rows"),
+    ("validate_pairs", "validate", TRACE_HEADER + "0,0,1,0.5\n2,1,1,0.6\n1,1,1,0.6\n",
+     "not strictly increasing"),
+    ("dyno_logs", "ingest", DYNO_HEADER + DYNO_ROW + "0.1,20,inf,80,20,1.2,90,2,500\n",
+     "non-finite"),
+    ("dyno_logs", "ingest", DYNO_HEADER + DYNO_ROW + "0.1,20,1500,80,20,nan,90,2,500\n",
+     "non-finite"),
+    ("dyno_logs", "ingest", DYNO_HEADER, "no data rows"),
+    ("dyno_logs", "ingest", DYNO_HEADER + "1" + DYNO_ROW[1:] + DYNO_ROW, "non-decreasing"),
+    ("cycles", "simulate", "t,v,grade\n0,0,0\n1,1,0\n", "expected header 't,v'"),
+    ("cycles", "simulate", "t,v,note\n0,0,fast\n1,1,slow\n",
+     "could not convert string to float: 'fast'"),
+]
+
+
 class TestBadInputsExit1:
+    @pytest.mark.parametrize("key, stage, text, message", MALFORMED, ids=[
+        "trace-nan-fuel", "trace-repeated-column", "trace-fractional-gear", "trace-header-only",
+        "trace-decreasing-t", "dyno-inf-rpm", "dyno-nan-fuel", "dyno-header-only",
+        "dyno-decreasing-t", "cycle-extra-column", "cycle-text-column"])
+    def test_malformed_csv(self, tmp_path, capsys, key, stage, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        if key == "validate_pairs":
+            good = tmp_path / "good.csv"
+            good.write_text(TRACE_HEADER + "0,0,1,0.5\n1,1,1,0.6\n2,2,2,0.7\n")
+            value = [{"name": "pair", "ref": str(good), "model": str(bad)}]
+        else:
+            value = [str(bad)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad" in err and message in err
+        assert "Traceback" not in err
+        assert not (out / "reports" / "report.json").exists()
+
+    def test_fractional_dyno_gear(self, tmp_path, capsys):
+        log = make_dyno_log(cruise_cycle(), default_vehicle(), seed=5)
+        log.gear = log.gear + 0.5
+        bad = tmp_path / "bad.csv"
+        write_dyno_csv(log, bad)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dyno_logs": [str(bad)]}))
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "trace 'bad': column 'gear' holds non-integers" in capsys.readouterr().err
+        assert not (out / "profiles" / "bad_trace.csv").exists()
+
     def test_out_of_range_gear_in_trace_csv(self, pipeline_out, tmp_path, capsys):
         out = tmp_path / "out"
         shutil.copytree(pipeline_out / "traces", out / "traces")
@@ -183,8 +241,6 @@ class TestUserSuppliedInputs:
         assert trace.v.max() == pytest.approx(80 / 3.6, rel=1e-6)
 
     def test_ingest_reads_external_dyno_log(self, tmp_path):
-        from vcdfuel.dyno import write_dyno_csv
-        from vcdfuel.synthetic import cruise_cycle, default_vehicle, make_dyno_log
         log_path = tmp_path / "rig.csv"
         write_dyno_csv(make_dyno_log(cruise_cycle(), default_vehicle(), seed=5), log_path)
         cfg = tmp_path / "cfg.json"

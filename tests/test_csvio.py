@@ -1,0 +1,122 @@
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from vcdfuel.csvio import read_columns, write_columns
+from vcdfuel.errors import ParseError
+from vcdfuel.trace import read_trace_csv
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# read_columns returns float64, which holds every integer up to 2**53 exactly
+whole = st.integers(-2**53, 2**53)
+columns = st.integers(1, 20).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, n, elements=finite),
+    hnp.arrays(np.float64, n, elements=finite),
+    hnp.arrays(np.int64, n, elements=whole)))
+edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                 1.7976931348623157e308, 0.1, 1 / 3])
+
+
+class TestRoundTrip:
+    @given(columns)
+    @example((edge, edge[::-1].copy(), np.arange(-5, 5)))
+    def test_bit_exact(self, tmp_path_factory, cols):
+        x, y, n = cols
+        path = tmp_path_factory.mktemp("csv") / "cols.csv"
+        write_columns(path, {"x": x, "y": y, "n": n}, repr)
+        back = read_columns(path)
+        assert list(back) == ["x", "y", "n"]
+        assert np.array_equal(back["x"].view(np.int64), x.view(np.int64))
+        assert np.array_equal(back["y"].view(np.int64), y.view(np.int64))
+        assert np.array_equal(back["n"].astype(np.int64), n)
+
+    def test_long_file_crosses_blocks(self, tmp_path):
+        rng = np.random.default_rng(0)
+        x = rng.integers(0, 2**63, 2_500, dtype=np.uint64).view(np.float64)
+        x[~np.isfinite(x)] = 0.0
+        path = tmp_path / "long.csv"
+        write_columns(path, {"x": x, "n": np.arange(x.size)}, repr)
+        back = read_columns(path)
+        assert np.array_equal(back["x"].view(np.int64), x.view(np.int64))
+        assert np.array_equal(back["n"], np.arange(x.size))
+
+    def test_crlf_and_integer_cells(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_columns(path, {"t": np.array([0.0, 0.5]), "gear": np.array([1, 2])}, repr)
+        assert path.read_bytes() == b"t,gear\r\n0.0,1\r\n0.5,2\r\n"
+
+    def test_format_applies_to_float_columns(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_columns(path, {"t": np.array([1 / 3]), "gear": np.array([3])}, "{:.10g}".format)
+        assert path.read_bytes() == b"t,gear\r\n0.3333333333,3\r\n"
+
+
+class TestReadColumns:
+    def test_header_case_and_blank_rows(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(" T , V\n0,1\n\n , \n2,3\n")
+        data = read_columns(path)
+        assert list(data) == ["t", "v"]
+        assert data["t"].tolist() == [0.0, 2.0] and data["v"].tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize("text, message", [
+        (b"", r"c\.csv:1: empty header"),
+        (b"\n0,1\n", r"c\.csv:1: empty header"),
+        (b"t,,v\n0,1,2\n", r"c\.csv:1: empty header"),
+        (b"t,v,V\n0,1,2\n", r"c\.csv:1: repeated column"),
+        (b"t,v\n", r"c\.csv: no data rows"),
+        (b"t,v\n0,1\n\n1,2,3\n", r"c\.csv:4: expected 2 columns, got 3"),
+        (b"t,v\n0,1\n1,abc\n", r"c\.csv:3: could not convert string to float: 'abc'"),
+        (b"t,v\n0,1\n1,nan\n", r"c\.csv:3: non-finite value 'nan' in column 'v'"),
+        (b"t,v\n0,1\n-inf,2\n", r"c\.csv:3: non-finite value '-inf' in column 't'"),
+        (b"t,v\n0,\xff\n", r"c\.csv: 'utf-8' codec can't decode"),
+        (b"t,v\n0," + b"1" * 200_000 + b"\n", r"c\.csv: field larger than field limit"),
+    ], ids=["empty-file", "blank-header", "empty-name", "repeated", "no-rows", "ragged",
+            "not-a-number", "nan", "inf", "not-utf8", "huge-field"])
+    def test_malformed(self, tmp_path, text, message):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=message):
+            read_columns(path)
+
+    def test_line_numbers_past_the_first_block(self, tmp_path):
+        lines = ["t,v"] + [f"{i},1" if i % 100 else "" for i in range(3_000)]
+        lines[2_501] = "2500,inf"
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"c\.csv:2502: non-finite value 'inf'"):
+            read_columns(path)
+        lines[2_501] = "2500,x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"c\.csv:2502: could not convert"):
+            read_columns(path)
+
+    @given(st.one_of(st.binary(max_size=120),
+                     st.text(',\r\n "tv.0123456789e+-naif', max_size=120).map(str.encode)))
+    def test_any_bytes_parse_or_raise(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("csv") / "fuzz.csv"
+        path.write_bytes(blob)
+        try:
+            data = read_columns(path)
+        except ParseError:
+            return
+        assert len({col.size for col in data.values()}) == 1
+        assert all(col.size and np.isfinite(col).all() for col in data.values())
+
+
+class TestTraceColumns:
+    @pytest.mark.parametrize("col", ["gear", "flags"])
+    def test_fractional_integer_column_rejected(self, tmp_path, col):
+        path = tmp_path / "tr.csv"
+        path.write_text(f"t,v,{col}\n0,0,1\n1,1,1.5\n")
+        with pytest.raises(ParseError, match=f"column '{col}' holds non-integers"):
+            read_trace_csv(path)
+
+    def test_integer_columns_come_back_as_int(self, tmp_path):
+        path = tmp_path / "tr.csv"
+        path.write_text("t,v,gear,flags\n0,0,1,0\n1,1,2.0,4\n")
+        trace = read_trace_csv(path)
+        assert trace.gear.dtype.kind == "i" and trace.gear.tolist() == [1, 2]
+        assert trace.flags.tolist() == [0, 4]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vcdfuel.dyno import (
+    DYNO_COLUMNS,
     DynoLog,
     auto_select_smoothing,
     clip_outliers,
@@ -280,6 +281,5 @@ class TestDynoCsv:
         path = tmp_path / "log.csv"
         write_dyno_csv(log, path)
         back = read_dyno_csv(path)
-        assert np.allclose(back.t, log.t)
-        assert np.allclose(back.trans_out_rpm, log.trans_out_rpm)
-        assert np.allclose(back.water_temp_c, log.water_temp_c)
+        for col in DYNO_COLUMNS:
+            assert np.array_equal(getattr(back, col), getattr(log, col)), col
