@@ -23,12 +23,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .drive_cycles import load_cycle
 from .dyno import log_to_trace, process_log, read_dyno_csv, write_dyno_csv, write_profile
-from .errors import MissingPrerequisite, VcdFuelError
+from .errors import MissingPrerequisite, ParseError, VcdFuelError
 from .extraction import VcdDataset, detect_shift_events, run_vcd
 from .powertrain import ReferenceVehicle, load_vehicle
 from .semi_principled import (
@@ -46,7 +44,7 @@ from .simplified import (
 )
 from .synthetic import builtin_cycles, default_vehicle, make_dyno_log
 from .trace import Trace, read_trace_csv, write_trace_csv
-from .validation import align, build_report
+from .validation import build_report
 
 DEFAULT_CONFIG = {
     "vehicle": "builtin",
@@ -76,8 +74,18 @@ def load_config(path=None, overrides=None) -> dict:
                 user = json.load(f)
         except FileNotFoundError:
             raise MissingPrerequisite(f"config file not found: {path}") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        if not isinstance(user, dict):
+            raise ParseError(f"{path}: config must be a JSON object")
         for key, val in user.items():
+            # a misspelt key would run on the default yet change the config hash
+            if key not in cfg and key != "out_dir":
+                raise ParseError(f"{path}: unknown config key '{key}'")
             if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+                for sub in val:
+                    if sub not in cfg[key]:
+                        raise ParseError(f"{path}: unknown config key '{key}.{sub}'")
                 cfg[key].update(val)
             else:
                 cfg[key] = val
@@ -278,7 +286,7 @@ def cmd_validate(cfg, args) -> int:
             semi_tr, simp_tr = _model_traces_for(cfg, out, dyno, tag)
             pairs.append((f"{tag}_semi", dyno, semi_tr))
             pairs.append((f"{tag}_simplified", dyno, simp_tr))
-    report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir)
+    report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir, plots=args.plots)
     doc = report.to_dict()
     doc["_provenance"] = _provenance(cfg)
     with open(reports_dir / "report.json", "w", encoding="utf-8") as f:
@@ -287,10 +295,6 @@ def cmd_validate(cfg, args) -> int:
     table = report.format_table()
     with open(reports_dir / "report.txt", "w", encoding="utf-8") as f:
         f.write(table + "\n")
-    if args.plots:
-        for cycle, ref, model in pairs:
-            _write_svg_panel(align(ref, model, cfg["dt"]),
-                             reports_dir / f"{cycle}_fuel.svg")
     print(table)
     return 0
 
@@ -301,30 +305,6 @@ def cmd_pipeline(cfg, args) -> int:
         if code != 0:
             return code
     return 0
-
-
-# --- svg ------------------------------------------------------------------
-
-def _write_svg_panel(pair, path, width=900, height=260) -> None:
-    """Minimal static line chart: reference vs model fuel rate."""
-    t = pair.t
-    series = [("#1f77b4", pair.ref["fuel"]), ("#d62728", pair.model["fuel"])]
-    top = max(1e-9, max(float(np.max(s)) for _, s in series))
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
-    margin = 30
-    for color, values in series:
-        pts = []
-        for i in range(t.size):
-            x = margin + (width - 2 * margin) * (t[i] - t[0]) / max(t[-1] - t[0], 1e-9)
-            y = height - margin - (height - 2 * margin) * values[i] / top
-            pts.append(f"{x:.1f},{y:.1f}")
-        lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1" '
-                     f'points="{" ".join(pts)}"/>')
-    lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 # --- entry ----------------------------------------------------------------

@@ -33,13 +33,13 @@ def write_columns(path, columns: dict[str, np.ndarray], fmt) -> None:
 def read_columns(path) -> dict[str, np.ndarray]:
     """Columns of a CSV file as float64 arrays, keyed by lower-cased name.
 
-    Blank rows are skipped. A file that is not UTF-8 CSV text, a missing or
-    repeated column name, a ragged row, a cell that is not a finite number,
-    or a file without data rows raises ParseError naming the file and, where
-    there is one, the line.
+    Blank rows and a leading byte-order mark are skipped. A file that is not
+    UTF-8 CSV text, a missing or repeated column name, a ragged row, a cell
+    that is not a finite number, or a file without data rows raises
+    ParseError naming the file and, where there is one, the line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             names = [name.strip().lower() for name in next(reader, [])]
             if not names or "" in names:

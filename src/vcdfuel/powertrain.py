@@ -219,18 +219,13 @@ def road_load(params: VehicleParams, v):
 def wheel_force(params: VehicleParams, v, a, grade, gear):
     """Demanded wheel force: inertia + road load + grade component [N].
 
-    ``gear`` is one gear index or an integer array of them, one per sample.
+    ``gear`` is one gear index or an integer array of them that broadcasts
+    against the samples: one per sample, or a column for one row per gear.
     """
-    if isinstance(gear, (int, np.integer)):
-        # the simulator's per-step call: keep the check O(1)
-        if not 1 <= gear <= params.n_gears:
-            raise GearOutOfRange(f"gear {gear} outside [1, {params.n_gears}]")
-    else:
-        gear = np.asarray(gear)
-        bad = (gear < 1) | (gear > params.n_gears)
-        if np.any(bad):
-            raise GearOutOfRange(
-                f"gear {np.unique(gear[bad]).tolist()} outside [1, {params.n_gears}]")
+    gear = np.asarray(gear)
+    bad = (gear < 1) | (gear > params.n_gears)
+    if np.any(bad):
+        raise GearOutOfRange(f"gear {np.unique(gear[bad]).tolist()} outside [1, {params.n_gears}]")
     return (params.gear_masses[gear - 1] * np.asarray(a, dtype=float)
             + road_load(params, v)
             + params.mass * GRAVITY * np.sin(grade))
@@ -298,60 +293,55 @@ def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float 
     """
     p = vehicle.params
     ctl = vehicle.control
+    maps = vehicle.shift_maps
     grid = resample(cycle, dt)
     t, v = grid.t, grid.v
     n_steps = t.size
     a = np.gradient(v, t)
     theta = grade(t) if callable(grade) else np.full(n_steps, float(grade))
+    standstill = v < STANDSTILL_SPEED
+    n_gears = p.n_gears
 
+    # every gear at once: wheel force and the pedal it implies, (n_gears, N)
+    force_by_gear = wheel_force(p, v, a, theta, np.arange(1, n_gears + 1)[:, None])
+    t_wmax = np.max(max_wheel_torque_by_gear(p, maps, v), axis=0)
+    pedal_by_gear = np.clip(np.divide(100.0 * force_by_gear * p.tire_radius, t_wmax,
+                                      out=np.zeros_like(force_by_gear), where=t_wmax > 0),
+                            0.0, 100.0)
+
+    # the one sequential part: each shift decision samples the previous
+    # step's gear and pedal; standstill puts the box back in first
     gear = np.ones(n_steps, dtype=int)
-    engine_speed = np.zeros(n_steps)
-    engine_torque = np.zeros(n_steps)
-    pedal = np.zeros(n_steps)
-    fuel = np.zeros(n_steps)
-    flags = np.zeros(n_steps, dtype=int)
-
-    t_wmax = np.max(max_wheel_torque_by_gear(p, vehicle.shift_maps, v), axis=0)
-    prev_gear = 1
-    prev_pedal = 0.0
-    for i in range(n_steps):
-        if v[i] < STANDSTILL_SPEED:
-            # open converter, engine idling; box back in first
-            gear[i] = 1
-            engine_speed[i] = p.engine_speed_idle
-            engine_torque[i] = ctl.idle_torque_nm
-            fuel[i] = ctl.idle_fuel_gps
-            pedal[i] = 0.0
+    prev_gear, prev_pedal = 1, 0.0
+    for i, (v_i, stopped) in enumerate(zip(v.tolist(), standstill.tolist())):
+        if stopped:
             prev_gear, prev_pedal = 1, 0.0
             continue
+        prev_gear = select_gear(maps, n_gears, prev_gear, v_i, prev_pedal)
+        prev_pedal = pedal_by_gear.item(prev_gear - 1, i)
+        gear[i] = prev_gear
 
-        # shift decision first, sampling the previous step's pedal
-        k = select_gear(vehicle.shift_maps, p.n_gears, prev_gear, v[i], prev_pedal)
-        gear[i] = k
+    # gather the chosen gear and invert the driveline in one pass
+    row, col = gear - 1, np.arange(n_steps)
+    force = force_by_gear[row, col]
+    pedal = pedal_by_gear[row, col]
+    engine_speed = np.clip(transmission_output_speed(p, v) * p.gear_ratios[row],
+                           p.engine_speed_idle, p.engine_speed_max)
+    engine_torque = force * p.tire_radius / (p.final_drive * p.gear_ratios[row] * p.driveline_eff)
+    engine_torque = np.where(gear == 1, engine_torque + launch_torque(ctl.launch_correction, a),
+                             engine_torque)
+    t_cap = maps.max_engine_torque(engine_speed)
+    capped = (engine_torque > t_cap) & ~standstill
+    engine_torque = np.where(capped, t_cap, engine_torque)
+    flags = np.where(capped, FLAG_ENVELOPE, 0)
+    fuel = np.maximum(0.0, vehicle.fuel_map.interpolate(engine_speed, engine_torque))
+    fuel[(v > ctl.fuel_cut_speed) & (force < ctl.fuel_cut_force)] = 0.0
 
-        force = wheel_force(p, v[i], a[i], theta[i], k)
-        ratio = p.final_drive * p.gear_ratios[k - 1]
-        n_eng = float(np.clip(transmission_output_speed(p, v[i]) * p.gear_ratios[k - 1],
-                              p.engine_speed_idle, p.engine_speed_max))
-        torque = force * p.tire_radius / (ratio * p.driveline_eff)
-        if k == 1:
-            torque += float(launch_torque(ctl.launch_correction, a[i]))
-        t_cap = float(vehicle.shift_maps.max_engine_torque(n_eng))
-        if torque > t_cap:
-            torque = t_cap
-            flags[i] |= FLAG_ENVELOPE
-
-        engine_speed[i] = n_eng
-        engine_torque[i] = torque
-        pedal[i] = float(np.clip(100.0 * force * p.tire_radius / t_wmax[i], 0.0, 100.0)) \
-            if t_wmax[i] > 0 else 0.0
-
-        if v[i] > ctl.fuel_cut_speed and force < ctl.fuel_cut_force:
-            fuel[i] = 0.0
-        else:
-            fuel[i] = max(0.0, vehicle.fuel_map.interpolate(n_eng, torque))
-
-        prev_gear, prev_pedal = k, pedal[i]
+    # open converter, engine idling
+    engine_speed[standstill] = p.engine_speed_idle
+    engine_torque[standstill] = ctl.idle_torque_nm
+    pedal[standstill] = 0.0
+    fuel[standstill] = ctl.idle_fuel_gps
 
     return Trace(name=cycle.name, t=t, v=v, a=a, grade=theta, gear=gear,
                  engine_speed=engine_speed, engine_torque=engine_torque,

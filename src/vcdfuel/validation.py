@@ -194,11 +194,12 @@ def write_comparison_csv(pair: AlignedPair, path) -> None:
 
 
 def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = 0.1,
-                 out_dir=None) -> ValidationReport:
+                 out_dir=None, plots: bool = False) -> ValidationReport:
     """Metrics for every (cycle, reference, model) pair.
 
     With out_dir set, also writes `<cycle>_<model>_vs_<ref>.csv` comparison
-    files next to the report for plotting.
+    files next to the report for plotting, and with plots also set, a
+    `<cycle>_fuel.svg` chart of each pair's fuel rate.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -209,7 +210,31 @@ def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = 0.1,
         if out_dir is not None:
             path = Path(out_dir) / f"{cycle}_{model.name}_vs_{ref.name}.csv"
             write_comparison_csv(pair, path)
+            if plots:
+                _write_svg_panel(pair, Path(out_dir) / f"{cycle}_fuel.svg")
     return ValidationReport(records=records)
+
+
+def _write_svg_panel(pair, path, width=900, height=260) -> None:
+    """Minimal static line chart: reference vs model fuel rate."""
+    t = pair.t
+    series = [("#1f77b4", pair.ref["fuel"]), ("#d62728", pair.model["fuel"])]
+    top = max(1e-9, max(float(np.max(s)) for _, s in series))
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+             f'viewBox="0 0 {width} {height}">',
+             f'<rect width="{width}" height="{height}" fill="white"/>']
+    margin = 30
+    for color, values in series:
+        pts = []
+        for i in range(t.size):
+            x = margin + (width - 2 * margin) * (t[i] - t[0]) / max(t[-1] - t[0], 1e-9)
+            y = height - margin - (height - 2 * margin) * values[i] / top
+            pts.append(f"{x:.1f},{y:.1f}")
+        lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1" '
+                     f'points="{" ".join(pts)}"/>')
+    lines.append("</svg>")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def save_report(report: ValidationReport, path) -> None:

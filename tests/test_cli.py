@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from vcdfuel import cli, validation
 from vcdfuel.cli import load_config, main
 from vcdfuel.dyno import DYNO_COLUMNS, write_dyno_csv
 from vcdfuel.powertrain import STANDSTILL_SPEED, vehicle_to_dict
@@ -208,6 +209,28 @@ class TestConfig:
         cfg = load_config(cfg_file, {"dt": 0.05})
         assert cfg["dt"] == 0.05
 
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({"gird": {"shape": [8, 8, 3]}}), "unknown config key 'gird'"),
+        (json.dumps({"smoothing": {"mue": 0.4}}), "unknown config key 'smoothing.mue'"),
+        ('{"dt": 0.1,', "Expecting property name"),
+        ("[0.1]", "config must be a JSON object"),
+    ], ids=["top-level-typo", "nested-typo", "truncated-json", "not-an-object"])
+    def test_bad_config_exits_1(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_file}: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_dir_key_accepted(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "from_config")}))
+        assert main(["simulate", "--config", str(cfg_file)]) == 0
+        assert (tmp_path / "from_config" / "traces" / "cruise_reference.csv").exists()
+
 
 class TestPlotsAndDynoPairs:
     def test_validate_covers_dyno_trace_and_emits_svg(self, pipeline_out, tmp_path):
@@ -227,6 +250,24 @@ class TestPlotsAndDynoPairs:
         body = svgs[0].read_text()
         assert body.startswith("<svg") and "polyline" in body
 
+    def test_plots_align_each_pair_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_align = validation.align
+
+        def counting_align(*args, **kwargs):
+            calls.append(args)
+            return real_align(*args, **kwargs)
+
+        monkeypatch.setattr(validation, "align", counting_align)
+        # also counts calls through a name the CLI imports itself
+        monkeypatch.setattr(cli, "align", counting_align, raising=False)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--out", str(out), "--plots"]) == 0
+        pairs = json.loads((out / "reports" / "report.json").read_text())["records"]
+        assert len(calls) == len(pairs) == 11
+        assert sorted(p.name for p in (out / "reports").glob("*.svg")) == sorted(
+            f"{cycle}_fuel.svg" for cycle in pairs)
+
 
 class TestUserSuppliedInputs:
     def test_simulate_with_kph_cycle_files(self, tmp_path):
@@ -239,6 +280,22 @@ class TestUserSuppliedInputs:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         trace = read_trace_csv(out / "traces" / "short_reference.csv")
         assert trace.v.max() == pytest.approx(80 / 3.6, rel=1e-6)
+
+    def test_cycle_with_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        text = "t,v\n0,0\n5,0\n25,14\n40,14\n55,0\n60,0\n"
+        traces = []
+        for tag, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            cycle_path = tmp_path / tag / "short.csv"
+            cycle_path.parent.mkdir()
+            cycle_path.write_text(text, encoding=encoding)
+            cfg = tmp_path / tag / "cfg.json"
+            cfg.write_text(json.dumps({"cycles": [str(cycle_path)]}))
+            out = tmp_path / tag / "out"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            traces.append((out / "traces" / "short_reference.csv").read_bytes())
+        assert (tmp_path / "bom" / "short.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert traces[0] == traces[1]
 
     def test_ingest_reads_external_dyno_log(self, tmp_path):
         log_path = tmp_path / "rig.csv"

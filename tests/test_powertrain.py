@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from vcdfuel.drive_cycles import DriveCycle
+from vcdfuel.drive_cycles import DriveCycle, resample
 from vcdfuel.errors import GearOutOfRange
 from vcdfuel.powertrain import (
     GRAVITY,
     STANDSTILL_SPEED,
+    launch_torque,
     load_vehicle,
+    max_wheel_torque_by_gear,
     road_load,
     save_vehicle,
     select_gear,
@@ -16,8 +22,8 @@ from vcdfuel.powertrain import (
     vehicle_to_dict,
     wheel_force,
 )
-from vcdfuel.synthetic import cruise_cycle
-from vcdfuel.trace import FLAG_ENVELOPE
+from vcdfuel.synthetic import _cycle, builtin_cycles, cruise_cycle
+from vcdfuel.trace import FLAG_ENVELOPE, Trace
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +221,126 @@ class TestSimulate:
         climb = simulate(cycle, vehicle, grade=0.05)
         steady = (np.abs(flat.a) < 1e-3) & (flat.t > 40)
         assert climb.fuel[steady].mean() > flat.fuel[steady].mean()
+
+
+def loop_simulate(cycle, vehicle, grade=0.0, dt=0.1):
+    """The simulator as a plain per-step loop: the reference the vectorized
+    `simulate` must match bit for bit."""
+    p = vehicle.params
+    ctl = vehicle.control
+    grid = resample(cycle, dt)
+    t, v = grid.t, grid.v
+    n_steps = t.size
+    a = np.gradient(v, t)
+    theta = grade(t) if callable(grade) else np.full(n_steps, float(grade))
+
+    gear = np.ones(n_steps, dtype=int)
+    engine_speed = np.zeros(n_steps)
+    engine_torque = np.zeros(n_steps)
+    pedal = np.zeros(n_steps)
+    fuel = np.zeros(n_steps)
+    flags = np.zeros(n_steps, dtype=int)
+
+    t_wmax = np.max(max_wheel_torque_by_gear(p, vehicle.shift_maps, v), axis=0)
+    prev_gear = 1
+    prev_pedal = 0.0
+    for i in range(n_steps):
+        if v[i] < STANDSTILL_SPEED:
+            gear[i] = 1
+            engine_speed[i] = p.engine_speed_idle
+            engine_torque[i] = ctl.idle_torque_nm
+            fuel[i] = ctl.idle_fuel_gps
+            pedal[i] = 0.0
+            prev_gear, prev_pedal = 1, 0.0
+            continue
+
+        k = select_gear(vehicle.shift_maps, p.n_gears, prev_gear, v[i], prev_pedal)
+        gear[i] = k
+
+        force = wheel_force(p, v[i], a[i], theta[i], k)
+        ratio = p.final_drive * p.gear_ratios[k - 1]
+        n_eng = float(np.clip(transmission_output_speed(p, v[i]) * p.gear_ratios[k - 1],
+                              p.engine_speed_idle, p.engine_speed_max))
+        torque = force * p.tire_radius / (ratio * p.driveline_eff)
+        if k == 1:
+            torque += float(launch_torque(ctl.launch_correction, a[i]))
+        t_cap = float(vehicle.shift_maps.max_engine_torque(n_eng))
+        if torque > t_cap:
+            torque = t_cap
+            flags[i] |= FLAG_ENVELOPE
+
+        engine_speed[i] = n_eng
+        engine_torque[i] = torque
+        pedal[i] = float(np.clip(100.0 * force * p.tire_radius / t_wmax[i], 0.0, 100.0)) \
+            if t_wmax[i] > 0 else 0.0
+
+        if v[i] > ctl.fuel_cut_speed and force < ctl.fuel_cut_force:
+            fuel[i] = 0.0
+        else:
+            fuel[i] = max(0.0, vehicle.fuel_map.interpolate(n_eng, torque))
+
+        prev_gear, prev_pedal = k, pedal[i]
+
+    return Trace(name=cycle.name, t=t, v=v, a=a, grade=theta, gear=gear,
+                 engine_speed=engine_speed, engine_torque=engine_torque,
+                 pedal=pedal, fuel=fuel, flags=flags)
+
+
+TRACE_COLUMNS = ("t", "v", "a", "grade", "gear", "engine_speed", "engine_torque", "pedal",
+                 "fuel", "flags")
+
+
+def rolling_grade(t):
+    return 0.04 * np.sin(t / 50)
+
+
+class TestLoopOracle:
+    @pytest.mark.parametrize("launch", [(), ((0, 0), (1, 15), (3, 40))],
+                             ids=["no-launch", "launch"])
+    @pytest.mark.parametrize("grade", [0.0, -0.05, 0.08, rolling_grade],
+                             ids=["flat", "down", "up", "rolling"])
+    @pytest.mark.parametrize("dt", [0.1, 0.05])
+    @pytest.mark.parametrize("name", ["cruise", "urban", "aggressive"])
+    def test_bit_identical(self, vehicle, name, dt, grade, launch):
+        vehicle = replace(vehicle, control=replace(vehicle.control, launch_correction=launch))
+        cycle = builtin_cycles()[name]
+        got = simulate(cycle, vehicle, grade=grade, dt=dt)
+        expected = loop_simulate(cycle, vehicle, grade=grade, dt=dt)
+        for col in TRACE_COLUMNS:
+            a, b = getattr(got, col), getattr(expected, col)
+            assert a.dtype == b.dtype, col
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), col
+        if (name, grade) == ("aggressive", 0.08):
+            # the torque envelope is part of what is compared
+            assert np.count_nonzero(got.flags & FLAG_ENVELOPE) > 100
+
+
+# cycles as (duration s, end speed m/s) segments from rest, stops included
+segments = st.lists(st.tuples(st.floats(0.5, 40.0),
+                              st.one_of(st.just(0.0), st.floats(0.0, 45.0))),
+                    min_size=1, max_size=12)
+
+
+class TestSimulateProperties:
+    @given(segments, st.floats(-0.1, 0.1), st.sampled_from([0.05, 0.1, 0.5]))
+    # a stop from top gear within one step, then a launch
+    @example([(20.0, 30.0), (0.5, 0.0), (5.0, 0.0), (10.0, 15.0)], 0.0, 0.5)
+    def test_invariants(self, vehicle, segs, grade, dt):
+        p, ctl = vehicle.params, vehicle.control
+        trace = simulate(_cycle("random", segs), vehicle, grade=grade, dt=dt)
+        stopped = trace.v < STANDSTILL_SPEED
+        assert np.all((trace.gear >= 1) & (trace.gear <= p.n_gears))
+        # one shift at most per moving step; a launch starts from first gear
+        assert np.all(np.abs(np.diff(trace.gear))[~stopped[1:]] <= 1)
+        assert np.all(trace.gear[stopped] == 1)
+        assert np.all(trace.engine_speed[stopped] == p.engine_speed_idle)
+        assert np.all(trace.engine_torque[stopped] == ctl.idle_torque_nm)
+        assert np.all(trace.fuel[stopped] == ctl.idle_fuel_gps)
+        assert np.all(np.isfinite(trace.fuel)) and np.all(trace.fuel >= 0)
+        cap = vehicle.shift_maps.max_engine_torque(trace.engine_speed)
+        capped = (trace.flags & FLAG_ENVELOPE) != 0
+        assert np.array_equal(capped, trace.engine_torque == cap)
+        assert np.all(trace.engine_torque[~stopped] <= cap[~stopped])
 
 
 class TestVehicleJson:
