@@ -26,8 +26,9 @@ from pathlib import Path
 from . import __version__
 from .drive_cycles import load_cycle
 from .dyno import log_to_trace, process_log, read_dyno_csv, write_dyno_csv, write_profile
-from .errors import MissingPrerequisite, ParseError, VcdFuelError
+from .errors import MissingPrerequisite, VcdFuelError
 from .extraction import VcdDataset, detect_shift_events, run_vcd
+from .jsonio import read_json, write_json
 from .powertrain import ReferenceVehicle, load_vehicle
 from .semi_principled import (
     build_semi_model_from_dataset,
@@ -70,22 +71,11 @@ def load_config(path=None, overrides=None) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as f:
-                user = json.load(f)
+            user = read_json(path, _checked_config)
         except FileNotFoundError:
             raise MissingPrerequisite(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        if not isinstance(user, dict):
-            raise ParseError(f"{path}: config must be a JSON object")
         for key, val in user.items():
-            # a misspelt key would run on the default yet change the config hash
-            if key not in cfg and key != "out_dir":
-                raise ParseError(f"{path}: unknown config key '{key}'")
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                for sub in val:
-                    if sub not in cfg[key]:
-                        raise ParseError(f"{path}: unknown config key '{key}.{sub}'")
+            if isinstance(cfg.get(key), dict):
                 cfg[key].update(val)
             else:
                 cfg[key] = val
@@ -95,6 +85,41 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
+def _checked_config(doc):
+    if not isinstance(doc, dict):
+        raise TypeError("config must be a JSON object")
+    # a misspelt key would run on the default yet change the config hash
+    _check_value("", doc, {**DEFAULT_CONFIG, "out_dir": None})
+    return doc
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", bool: "true or false",
+               int: "an integer", float: "a number"}
+
+
+def _check_value(key: str, val, default) -> None:
+    """Raise unless ``val`` has the JSON type of ``default``: an int passes
+    for a float, a bool never for a number, objects hold only known keys and
+    lists keep their length. String and null defaults stand for paths and
+    lists the user supplies and are not checked."""
+    if default is None or isinstance(default, str):
+        return
+    kind = (int, float) if isinstance(default, float) else type(default)
+    if (not isinstance(val, kind) or isinstance(val, bool) != isinstance(default, bool)
+            or isinstance(val, list) and len(val) != len(default)):
+        length = f" of {len(default)}" if isinstance(default, list) else ""
+        raise TypeError(f"config key '{key}' must be {_JSON_TYPES[type(default)]}{length}")
+    if isinstance(default, dict):
+        for sub, item in val.items():
+            name = f"{key}.{sub}" if key else sub
+            if sub not in default:
+                raise ValueError(f"unknown config key '{name}'")
+            _check_value(name, item, default[sub])
+    elif isinstance(default, list):
+        for i, (item, dflt) in enumerate(zip(val, default)):
+            _check_value(f"{key}[{i}]", item, dflt)
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -102,6 +127,11 @@ def config_hash(cfg: dict) -> str:
 
 def _provenance(cfg: dict) -> dict:
     return {"tool": "vcdfuel", "version": __version__, "config_hash": config_hash(cfg)}
+
+
+def _write_artifact(cfg: dict, path: Path, doc: dict) -> None:
+    doc["_provenance"] = _provenance(cfg)
+    write_json(path, doc)
 
 
 def _resolve_vehicle(cfg):
@@ -149,21 +179,27 @@ def cmd_simulate(cfg, args) -> int:
     for trace in ds.traces:
         write_trace_csv(trace, traces_dir / f"{trace.name}_reference.csv")
         print(f"wrote {traces_dir / (trace.name + '_reference.csv')}")
-    manifest = {"_provenance": _provenance(cfg), "cycles": [tr.name for tr in ds.traces],
-                "dt": cfg["dt"]}
-    with open(out / "traces" / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_artifact(cfg, traces_dir / "manifest.json",
+                    {"cycles": [tr.name for tr in ds.traces], "dt": cfg["dt"]})
     return 0
+
+
+def _manifest_cycles(doc) -> list[str]:
+    names = doc["cycles"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise TypeError("'cycles' must be a list of cycle names")
+    return names
+
+
+def _read_manifest(out: Path) -> list[str]:
+    """Names of the simulated cycles, from ``traces/manifest.json``."""
+    return read_json(_require(out / "traces" / "manifest.json", "simulate"), _manifest_cycles)
 
 
 def _load_dataset(cfg, out: Path) -> tuple[VcdDataset, ReferenceVehicle]:
     vehicle = _resolve_vehicle(cfg)
-    manifest_path = _require(out / "traces" / "manifest.json", "simulate")
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
     traces = []
-    for name in manifest["cycles"]:
+    for name in _read_manifest(out):
         path = _require(out / "traces" / f"{name}_reference.csv", "simulate")
         traces.append(read_trace_csv(path, name=name))
     events = [ev for tr in traces for ev in detect_shift_events(tr)]
@@ -179,12 +215,8 @@ def cmd_extract(cfg, args) -> int:
         gear_degree=tuple(cfg["gear_map_degree"]),
         min_gear_samples=cfg["min_gear_samples"],
         dt=cfg["dt"])
-    doc = model_to_dict(model)
-    doc["_provenance"] = _provenance(cfg)
-    doc["events"] = len(ds.events)
-    with open(out / "semi_model.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_artifact(cfg, out / "semi_model.json",
+                    {**model_to_dict(model), "events": len(ds.events)})
     print(f"wrote {out / 'semi_model.json'} "
           f"(idle fuel {model.constants.idle_fuel:.4f} g/s, "
           f"cut speed {model.constants.cut_speed:.2f} m/s)")
@@ -198,11 +230,7 @@ def cmd_fit_simplified(cfg, args) -> int:
     grid = FitGrid(v_range=(0.0, semi.speed_max), a_range=tuple(gc["a_range"]),
                    grade_range=tuple(gc["grade_range"]), shape=tuple(gc["shape"]))
     model = fit_simplified(semi, grid, degrees=cfg["degrees"])
-    doc = simplified_to_dict(model)
-    doc["_provenance"] = _provenance(cfg)
-    with open(out / "simplified_model.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_artifact(cfg, out / "simplified_model.json", simplified_to_dict(model))
     diag = model.diagnostics
     print(f"wrote {out / 'simplified_model.json'} "
           f"(L2 {diag['l2_error']:.4f} g/s, max {diag['max_error']:.4f} g/s)")
@@ -246,10 +274,8 @@ def cmd_ingest(cfg, args) -> int:
     return 0
 
 
-def _model_traces_for(cfg, out: Path, base: Trace, tag: str):
+def _model_traces_for(semi, simp, base: Trace, tag: str):
     """Evaluate both reduced models on a (t, v, a) profile."""
-    semi = load_semi_model(_require(out / "semi_model.json", "extract"))
-    simp = load_simplified(_require(out / "simplified_model.json", "fit-simplified"))
     grade = base.grade if base.grade is not None else 0.0
     semi_tr = eval_semi_trace(semi, base.t, base.v, base.a, grade, name=f"semi_{tag}")
     simp_tr = eval_simplified_trace(simp, base.t, base.v, base.a, grade, name=f"simplified_{tag}")
@@ -267,12 +293,12 @@ def cmd_validate(cfg, args) -> int:
             model = read_trace_csv(_require(Path(entry["model"]), "simulate"))
             pairs.append((entry["name"], ref, model))
     else:
-        manifest_path = _require(out / "traces" / "manifest.json", "simulate")
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
-        for name in manifest["cycles"]:
+        names = _read_manifest(out)
+        semi = load_semi_model(_require(out / "semi_model.json", "extract"))
+        simp = load_simplified(_require(out / "simplified_model.json", "fit-simplified"))
+        for name in names:
             ref = read_trace_csv(out / "traces" / f"{name}_reference.csv", name=f"{name}_reference")
-            semi_tr, simp_tr = _model_traces_for(cfg, out, ref, name)
+            semi_tr, simp_tr = _model_traces_for(semi, simp, ref, name)
             write_trace_csv(semi_tr, out / "traces" / f"{name}_semi.csv")
             write_trace_csv(simp_tr, out / "traces" / f"{name}_simplified.csv")
             pairs.append((f"{name}_semi", ref, semi_tr))
@@ -283,15 +309,11 @@ def cmd_validate(cfg, args) -> int:
         for dyno_path in sorted((out / "profiles").glob("*_trace.csv")):
             tag = dyno_path.stem.removesuffix("_trace")
             dyno = read_trace_csv(dyno_path, name=tag)
-            semi_tr, simp_tr = _model_traces_for(cfg, out, dyno, tag)
+            semi_tr, simp_tr = _model_traces_for(semi, simp, dyno, tag)
             pairs.append((f"{tag}_semi", dyno, semi_tr))
             pairs.append((f"{tag}_simplified", dyno, simp_tr))
     report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir, plots=args.plots)
-    doc = report.to_dict()
-    doc["_provenance"] = _provenance(cfg)
-    with open(reports_dir / "report.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_artifact(cfg, reports_dir / "report.json", report.to_dict())
     table = report.format_table()
     with open(reports_dir / "report.txt", "w", encoding="utf-8") as f:
         f.write(table + "\n")

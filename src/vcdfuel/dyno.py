@@ -10,7 +10,6 @@ Warm-up data is dropped via an engine water temperature window first.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .errors import (
     SmoothingDiverged,
 )
 from .extraction import percentile
+from .jsonio import write_json
 from .trace import RADPS_TO_RPM, Trace
 
 KPH_TO_MPS = 1.0 / 3.6
@@ -270,9 +270,7 @@ def process_log(log: DynoLog, dt: float = 0.1, bound: float = ACCEL_BOUND,
 def write_profile(profile: ProcessedProfile, csv_path, sidecar_path=None) -> None:
     write_columns(csv_path, {"t": profile.t, "v_mps": profile.v, "a_mps2": profile.a}, repr)
     if sidecar_path is not None:
-        with open(sidecar_path, "w", encoding="utf-8") as f:
-            json.dump(profile.provenance, f, indent=1, sort_keys=True)
-            f.write("\n")
+        write_json(sidecar_path, profile.provenance)
 
 
 def log_to_trace(log: DynoLog, profile: ProcessedProfile) -> Trace:

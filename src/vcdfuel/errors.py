@@ -8,7 +8,7 @@ class VcdFuelError(Exception):
 # --- drive cycle loading -----------------------------------------------------
 
 class ParseError(VcdFuelError):
-    """Malformed cycle, log or vehicle file."""
+    """Malformed input: a cycle, trace, log, vehicle, model, report or config file."""
 
 
 class UnitError(VcdFuelError):

@@ -14,14 +14,14 @@ model blending converter modes.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .drive_cycles import DriveCycle, resample
-from .errors import GearOutOfRange, ParseError
+from .errors import GearOutOfRange
+from .jsonio import read_json, write_json
 from .trace import FLAG_ENVELOPE, Trace
 
 GRAVITY = 9.81  # m/s2
@@ -440,16 +440,8 @@ def vehicle_from_dict(doc: dict) -> ReferenceVehicle:
 
 def load_vehicle(path) -> ReferenceVehicle:
     """Read a vehicle JSON; a missing key or an invalid value is a ParseError."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return vehicle_from_dict(json.load(f))
-        except KeyError as exc:
-            raise ParseError(f"{path}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    return read_json(path, vehicle_from_dict)
 
 
 def save_vehicle(vehicle: ReferenceVehicle, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(vehicle_to_dict(vehicle), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_json(path, vehicle_to_dict(vehicle))

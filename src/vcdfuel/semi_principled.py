@@ -11,7 +11,6 @@ quick-downshift artifact during decelerations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ from .extraction import (
     fit_all_maps,
     run_vcd,
 )
+from .jsonio import read_json
 from .powertrain import (
     GRAVITY,
     STANDSTILL_SPEED,
@@ -305,12 +305,5 @@ def model_from_dict(doc: dict) -> SemiPrincipledModel:
     )
 
 
-def save_semi_model(model: SemiPrincipledModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_dict(model), f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
 def load_semi_model(path) -> SemiPrincipledModel:
-    with open(path, encoding="utf-8") as f:
-        return model_from_dict(json.load(f))
+    return read_json(path, model_from_dict)

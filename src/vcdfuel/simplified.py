@@ -13,13 +13,13 @@ by a positivity projection on the constant term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import ConstraintInfeasible, RankDeficient
+from .jsonio import read_json
 from .powertrain import STANDSTILL_SPEED
 from .semi_principled import SemiPrincipledModel, domain_excess, evaluate
 from .trace import FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
@@ -369,12 +369,5 @@ def simplified_from_dict(doc: dict) -> SimplifiedModel:
     )
 
 
-def save_simplified(model: SimplifiedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(simplified_to_dict(model), f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
 def load_simplified(path) -> SimplifiedModel:
-    with open(path, encoding="utf-8") as f:
-        return simplified_from_dict(json.load(f))
+    return read_json(path, simplified_from_dict)

@@ -10,7 +10,6 @@ dyno tables; everything is SI internally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .csvio import write_columns
 from .errors import LengthMismatch, NoOverlap, ZeroReference
+from .jsonio import read_json
 from .trace import RADPS_TO_RPM, Trace
 
 
@@ -237,12 +237,5 @@ def _write_svg_panel(pair, path, width=900, height=260) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def save_report(report: ValidationReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
 def load_report(path) -> ValidationReport:
-    with open(path, encoding="utf-8") as f:
-        return ValidationReport.from_dict(json.load(f))
+    return read_json(path, ValidationReport.from_dict)

@@ -147,6 +147,27 @@ class TestBadInputsExit1:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "traces" / "bad_reference.csv").exists()
 
+    @pytest.mark.parametrize("stage, artifact, damage, downstream", [
+        ("fit-simplified", "semi_model.json", lambda text: text[:500], "simplified_model.json"),
+        ("validate", "simplified_model.json",
+         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "coeff_c"}),
+         "reports/report.json"),
+        ("extract", "traces/manifest.json", lambda text: json.dumps({"cycles": 5}),
+         "semi_model.json"),
+    ], ids=["truncated-semi-model", "simplified-model-without-coeff-c", "manifest-cycles-int"])
+    def test_malformed_json_artifact(self, pipeline_out, tmp_path, capsys,
+                                     stage, artifact, damage, downstream):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        (out / downstream).unlink()
+        path = out / artifact
+        path.write_text(damage(path.read_text()))
+        assert main([stage, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:")
+        assert "Traceback" not in err
+        assert not (out / downstream).exists()
+
     @pytest.mark.parametrize("edit, reason", [
         (lambda params: params.pop("mass_kg"), "missing key 'mass_kg'"),
         (lambda params: params.update(mass_kg=-1.0), "masses must be positive"),
@@ -214,7 +235,19 @@ class TestConfig:
         (json.dumps({"smoothing": {"mue": 0.4}}), "unknown config key 'smoothing.mue'"),
         ('{"dt": 0.1,', "Expecting property name"),
         ("[0.1]", "config must be a JSON object"),
-    ], ids=["top-level-typo", "nested-typo", "truncated-json", "not-an-object"])
+        (json.dumps({"dt": "0.1"}), "config key 'dt' must be a number"),
+        (json.dumps({"grid": 5}), "config key 'grid' must be an object"),
+        (json.dumps({"grid": {"shape": [48, 36]}}), "config key 'grid.shape' must be a list of 3"),
+        (json.dumps({"degrees": {"C": 3.5}}), "config key 'degrees.C' must be an integer"),
+        (json.dumps({"min_gear_samples": True}),
+         "config key 'min_gear_samples' must be an integer"),
+        (json.dumps({"smoothing": {"mu": False}}), "config key 'smoothing.mu' must be a number"),
+        (json.dumps({"dyno_synthetic": {"warmup": 1}}),
+         "config key 'dyno_synthetic.warmup' must be true or false"),
+        ('{"dt": NaN}', "non-finite value 'NaN'"),
+    ], ids=["top-level-typo", "nested-typo", "truncated-json", "not-an-object", "string-dt",
+            "int-grid", "short-shape", "fractional-degree", "bool-integer", "bool-number",
+            "int-bool", "nan-dt"])
     def test_bad_config_exits_1(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(text)
@@ -224,6 +257,12 @@ class TestConfig:
         assert err.startswith(f"error: {cfg_file}: ") and message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_int_accepted_for_float(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"dt": 1, "smoothing": {"bound": 3}}))
+        cfg = load_config(cfg_file)
+        assert cfg["dt"] == 1 and cfg["smoothing"]["bound"] == 3
 
     def test_out_dir_key_accepted(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -1,0 +1,112 @@
+import copy
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from vcdfuel import jsonio
+from vcdfuel.errors import ParseError
+from vcdfuel.jsonio import read_json, write_json
+from vcdfuel.semi_principled import eval_semi_trace, load_semi_model, model_to_dict
+from vcdfuel.simplified import load_simplified, simplified_to_dict
+from vcdfuel.validation import build_report, load_report
+
+
+def legacy_bytes(tmp_path, doc) -> bytes:
+    """The artifact bytes: ``json.dump`` with a one-space indent and sorted keys, then a newline."""
+    path = tmp_path / "legacy.json"
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def artifacts(semi_model, simplified_model, dataset):
+    """(document, loader) of each model and report artifact."""
+    ref = dataset.traces[0]
+    semi_tr = eval_semi_trace(semi_model, ref.t, ref.v, ref.a, name="semi")
+    report = build_report([("pair", ref, semi_tr)])
+    return {"semi_model": (model_to_dict(semi_model), load_semi_model),
+            "simplified_model": (simplified_to_dict(simplified_model), load_simplified),
+            "report": (report.to_dict(), load_report)}
+
+
+def key_paths(doc, prefix=()):
+    """Every key of a document, nested ones included, as index paths."""
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            yield prefix + (key,)
+            yield from key_paths(val, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, val in enumerate(doc):
+            yield from key_paths(val, prefix + (i,))
+
+
+class TestWriteJson:
+    def test_bytes_match_the_legacy_writers(self, tmp_path, artifacts):
+        docs = [doc for doc, _ in artifacts.values()]
+        docs.append({"b": [1, 2.5, None, True], "a": "über", "c": {"z": 0.1 + 0.2, "y": -0.0}})
+        for doc in docs:
+            write_json(tmp_path / "new.json", doc)
+            assert (tmp_path / "new.json").read_bytes() == legacy_bytes(tmp_path, doc)
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("blob, message", [
+        (b'{"a": 1,', "Expecting property name"),
+        (b'{"a": "\xff"}', "codec can't decode"),
+        (b'{"a": NaN}', "non-finite value 'NaN'"),
+        (b'{"a": [-Infinity]}', "non-finite value '-Infinity'"),
+        (b'{"a": 1e999}', "non-finite value '1e999'"),
+        (b'{"b": 1}', "missing key 'a'"),
+        (b'{"a": "x"}', "could not convert string to float"),
+        (b'[1]', "list indices must be integers"),
+    ], ids=["truncated", "not-utf8", "nan", "infinity", "overflow", "missing-key",
+            "invalid-value", "wrong-type"])
+    def test_errors_name_the_file(self, tmp_path, blob, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError) as info:
+            read_json(path, lambda doc: float(doc["a"]))
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    def test_missing_file_propagates(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(tmp_path / "ghost.json", dict)
+
+    @pytest.mark.parametrize("kind", ["semi_model", "simplified_model", "report"])
+    @given(data=st.data())
+    def test_damaged_artifact_loads_or_raises_parse_error(self, tmp_path_factory, artifacts,
+                                                          kind, data):
+        doc, load = artifacts[kind]
+        blob = (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            damaged = copy.deepcopy(doc)
+            *parents, key = data.draw(st.sampled_from(list(key_paths(doc))), label="key")
+            holder = damaged
+            for step in parents:
+                holder = holder[step]
+            del holder[key]
+            blob = json.dumps(damaged).encode()
+        path = tmp_path_factory.mktemp("damaged") / f"{kind}.json"
+        path.write_bytes(blob)
+        try:
+            load(path)
+        except ParseError as exc:
+            assert str(exc).startswith(f"{path}: ")
+
+
+def test_formats_have_one_module_each():
+    """JSON is read and written only in jsonio, CSV only in csvio."""
+    for path in sorted(Path(jsonio.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "jsonio.py":
+            assert not re.search(r"json\.(dump|load)\(", text), path.name
+        if path.name != "csvio.py":
+            assert not re.search(r"^\s*(import csv\b|from csv import)", text, re.M), path.name

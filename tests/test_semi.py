@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vcdfuel.jsonio import write_json
 from vcdfuel.semi_principled import (
     eval_semi,
     eval_semi_trace,
@@ -8,7 +9,6 @@ from vcdfuel.semi_principled import (
     load_semi_model,
     model_from_dict,
     model_to_dict,
-    save_semi_model,
 )
 from vcdfuel.trace import FLAG_CLAMPED
 from vcdfuel.validation import compare_pair
@@ -112,7 +112,7 @@ class TestFidelity:
 class TestSerialization:
     def test_round_trip_preserves_evaluation(self, semi_model, tmp_path):
         path = tmp_path / "semi_model.json"
-        save_semi_model(semi_model, path)
+        write_json(path, model_to_dict(semi_model))
         back = load_semi_model(path)
         rng = np.random.default_rng(24)
         v = rng.uniform(0, semi_model.speed_max, 500)

@@ -1,8 +1,11 @@
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vcdfuel import simplified
+from vcdfuel.jsonio import write_json
 from vcdfuel.powertrain import (
     GRAVITY,
     max_wheel_torque_gear,
@@ -20,7 +23,7 @@ from vcdfuel.simplified import (
     fit_simplified,
     fit_to_function,
     load_simplified,
-    save_simplified,
+    simplified_to_dict,
 )
 
 ORACLE = SimplifiedModel(
@@ -264,7 +267,7 @@ class TestFitGrid:
 class TestSerialization:
     def test_round_trip(self, simplified_model, tmp_path):
         path = tmp_path / "simplified_model.json"
-        save_simplified(simplified_model, path)
+        write_json(path, simplified_to_dict(simplified_model))
         back = load_simplified(path)
         rng = np.random.default_rng(34)
         v = rng.uniform(0, 30, 300)
@@ -277,3 +280,29 @@ class TestSerialization:
         from vcdfuel.simplified import simplified_to_dict
         doc = simplified_to_dict(simplified_model)
         assert doc["cut_boundary_terms"] == [list(t) for t in CUT_BOUNDARY_TERMS]
+
+
+# any finite (v, a, grade): mostly near the fitted box, often far outside it
+finite = st.floats(allow_nan=False, allow_infinity=False)
+points = st.lists(st.tuples(st.one_of(st.floats(-5.0, 60.0), finite),
+                            st.one_of(st.floats(-6.0, 6.0), finite),
+                            st.one_of(st.floats(-0.2, 0.2), finite)), min_size=1, max_size=64)
+
+
+class TestTotality:
+    @given(points)
+    def test_semi_fuel_finite_nonnegative(self, semi_model, pts):
+        v, a, g = np.array(pts).T
+        fuel = evaluate(semi_model, v, a, g)["fuel"]
+        assert np.all(np.isfinite(fuel)) and np.all(fuel >= 0)
+
+    @given(points)
+    def test_simplified_cut_and_floor(self, simplified_model, pts):
+        m = simplified_model
+        v, a, g = np.array(pts).T
+        fuel = eval_simplified(m, v, a, g)
+        assert np.all(np.isfinite(fuel)) and np.all(fuel >= 0)
+        vv, aa, gg = np.clip(v, *m.v_range), np.clip(a, *m.a_range), np.clip(g, *m.grade_range)
+        cut = (vv > m.cut_speed) & (aa < m.cut_accel(vv, gg))
+        assert np.all(fuel[cut] == 0)
+        assert np.all(fuel[v <= m.cut_speed] >= m.beta)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vcdfuel.errors import LengthMismatch, NoOverlap, ZeroReference
+from vcdfuel.jsonio import write_json
 from vcdfuel.trace import Trace
 from vcdfuel.validation import (
     ValidationReport,
@@ -15,7 +16,6 @@ from vcdfuel.validation import (
     gear_metrics,
     load_report,
     mae,
-    save_report,
 )
 
 
@@ -198,7 +198,7 @@ class TestBuildReport:
     def test_json_round_trip_lossless(self, tmp_path):
         pairs = [self._pair(np.random.default_rng(9), name="c")]
         report = build_report(pairs)
-        save_report(report, tmp_path / "report.json")
+        write_json(tmp_path / "report.json", report.to_dict())
         back = load_report(tmp_path / "report.json")
         assert back.to_dict() == report.to_dict()
 
