@@ -1,7 +1,9 @@
 """Command-line pipeline driver.
 
-Each subcommand runs one stage and reads its predecessor's artifacts from
-the output directory, so stages can be rerun independently:
+Each subcommand runs one stage. Run alone, a stage reads its predecessor's
+artifacts from the output directory, so stages can be rerun independently;
+``pipeline`` hands each stage's outputs to the next in memory and writes the
+same files without reading any of them back:
 
     simulate        reference traces for every configured cycle
     extract         constants and fitted maps: the map-based model (semi_model.json)
@@ -21,12 +23,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .drive_cycles import load_cycle
 from .dyno import log_to_trace, process_log, read_dyno_csv, write_dyno_csv, write_profile
-from .errors import MissingPrerequisite, VcdFuelError
+from .errors import MissingPrerequisite, ParseError, VcdFuelError
 from .extraction import VcdDataset, detect_shift_events, run_vcd
 from .jsonio import read_json, write_json
 from .powertrain import ReferenceVehicle, load_vehicle
@@ -93,16 +96,45 @@ def _checked_config(doc):
     return doc
 
 
+_UNITS = ("mps", "kph", "mph")
 _JSON_TYPES = {dict: "an object", list: "a list", bool: "true or false",
                int: "an integer", float: "a number"}
+
+
+def _paths(val) -> bool:
+    return isinstance(val, list) and all(isinstance(item, str) for item in val)
+
+
+def _pairs(val) -> bool:
+    return val is None or isinstance(val, list) and all(
+        isinstance(pair, dict) and sorted(pair) == ["model", "name", "ref"]
+        and _paths(list(pair.values())) for pair in val)
+
+
+# keys whose default is a string or null: what each accepts instead of a type
+_FREE_KEYS = {
+    "vehicle": (lambda val: isinstance(val, str), '"builtin" or a vehicle JSON path'),
+    "cycles": (lambda val: val == "builtin" or _paths(val),
+               '"builtin" or a list of cycle CSV paths'),
+    "unit": (lambda val: val in _UNITS, f"one of {', '.join(_UNITS)}"),
+    "dyno_logs": (lambda val: val == "synthetic" or _paths(val),
+                  '"synthetic" or a list of dyno log CSV paths'),
+    "dyno_synthetic.cycle": (lambda val: isinstance(val, str) and val in builtin_cycles(),
+                             "the name of a built-in cycle"),
+    "validate_pairs": (_pairs, 'null or a list of {"name", "ref", "model"} strings'),
+    "out_dir": (lambda val: isinstance(val, str), "a directory path"),
+}
 
 
 def _check_value(key: str, val, default) -> None:
     """Raise unless ``val`` has the JSON type of ``default``: an int passes
     for a float, a bool never for a number, objects hold only known keys and
-    lists keep their length. String and null defaults stand for paths and
-    lists the user supplies and are not checked."""
-    if default is None or isinstance(default, str):
+    lists keep their length. Keys with a string or null default accept what
+    ``_FREE_KEYS`` says."""
+    if key in _FREE_KEYS:
+        accepts, expected = _FREE_KEYS[key]
+        if not accepts(val):
+            raise TypeError(f"config key '{key}' must be {expected}")
         return
     kind = (int, float) if isinstance(default, float) else type(default)
     if (not isinstance(val, kind) or isinstance(val, bool) != isinstance(default, bool)
@@ -152,6 +184,11 @@ def _resolve_cycles(cfg):
         if not path.exists():
             raise MissingPrerequisite(f"cycle file not found: {path}")
         cycles.append(load_cycle(path, unit=cfg["unit"]))
+    names = [cycle.name for cycle in cycles]
+    for name in names:
+        if names.count(name) > 1:
+            # both would write traces/<name>_reference.csv
+            raise ParseError(f"config key 'cycles': two cycle files named '{name}'")
     return cycles
 
 
@@ -168,14 +205,27 @@ def _require(path: Path, produced_by: str) -> Path:
 
 
 # --- stages -------------------------------------------------------------------
+#
+# Each stage takes ``run``, the dict through which ``pipeline`` hands one
+# stage's outputs to the next: "vehicle" and "dataset" (simulate), "semi"
+# (extract), "simplified" (fit-simplified) and "rig_traces" (ingest, keyed by
+# log name). A stage reads its predecessor's file only when ``run`` lacks
+# the object; run alone, a stage gets ``run=None`` and reads everything.
 
-def cmd_simulate(cfg, args) -> int:
+def _vehicle(cfg, run: dict) -> ReferenceVehicle:
+    if "vehicle" not in run:
+        run["vehicle"] = _resolve_vehicle(cfg)
+    return run["vehicle"]
+
+
+def cmd_simulate(cfg, args, run=None) -> int:
+    run = {} if run is None else run
     out = _out_dir(cfg, args)
-    vehicle = _resolve_vehicle(cfg)
+    vehicle = _vehicle(cfg, run)
     cycles = _resolve_cycles(cfg)
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
-    ds = run_vcd(vehicle, cycles, dt=cfg["dt"])
+    ds = run["dataset"] = run_vcd(vehicle, cycles, dt=cfg["dt"])
     for trace in ds.traces:
         write_trace_csv(trace, traces_dir / f"{trace.name}_reference.csv")
         print(f"wrote {traces_dir / (trace.name + '_reference.csv')}")
@@ -196,21 +246,28 @@ def _read_manifest(out: Path) -> list[str]:
     return read_json(_require(out / "traces" / "manifest.json", "simulate"), _manifest_cycles)
 
 
-def _load_dataset(cfg, out: Path) -> tuple[VcdDataset, ReferenceVehicle]:
-    vehicle = _resolve_vehicle(cfg)
-    traces = []
-    for name in _read_manifest(out):
-        path = _require(out / "traces" / f"{name}_reference.csv", "simulate")
-        traces.append(read_trace_csv(path, name=name))
-    events = [ev for tr in traces for ev in detect_shift_events(tr)]
-    return VcdDataset(params=vehicle.params, traces=traces, events=events), vehicle
+def _dataset(cfg, out: Path, run: dict) -> VcdDataset:
+    if "dataset" not in run:
+        traces = [read_trace_csv(_require(out / "traces" / f"{name}_reference.csv", "simulate"),
+                                 name=name) for name in _read_manifest(out)]
+        events = [ev for tr in traces for ev in detect_shift_events(tr)]
+        run["dataset"] = VcdDataset(params=_vehicle(cfg, run).params, traces=traces,
+                                    events=events)
+    return run["dataset"]
 
 
-def cmd_extract(cfg, args) -> int:
+def _semi(out: Path, run: dict):
+    if "semi" not in run:
+        run["semi"] = load_semi_model(_require(out / "semi_model.json", "extract"))
+    return run["semi"]
+
+
+def cmd_extract(cfg, args, run=None) -> int:
+    run = {} if run is None else run
     out = _out_dir(cfg, args)
-    ds, vehicle = _load_dataset(cfg, out)
-    model = build_semi_model_from_dataset(
-        ds, vehicle.shift_maps,
+    ds = _dataset(cfg, out, run)
+    model = run["semi"] = build_semi_model_from_dataset(
+        ds, _vehicle(cfg, run).shift_maps,
         fuel_degree=tuple(cfg["fuel_map_degree"]),
         gear_degree=tuple(cfg["gear_map_degree"]),
         min_gear_samples=cfg["min_gear_samples"],
@@ -223,13 +280,14 @@ def cmd_extract(cfg, args) -> int:
     return 0
 
 
-def cmd_fit_simplified(cfg, args) -> int:
+def cmd_fit_simplified(cfg, args, run=None) -> int:
+    run = {} if run is None else run
     out = _out_dir(cfg, args)
-    semi = load_semi_model(_require(out / "semi_model.json", "extract"))
+    semi = _semi(out, run)
     gc = cfg["grid"]
     grid = FitGrid(v_range=(0.0, semi.speed_max), a_range=tuple(gc["a_range"]),
                    grade_range=tuple(gc["grade_range"]), shape=tuple(gc["shape"]))
-    model = fit_simplified(semi, grid, degrees=cfg["degrees"])
+    model = run["simplified"] = fit_simplified(semi, grid, degrees=cfg["degrees"])
     _write_artifact(cfg, out / "simplified_model.json", simplified_to_dict(model))
     diag = model.diagnostics
     print(f"wrote {out / 'simplified_model.json'} "
@@ -237,7 +295,8 @@ def cmd_fit_simplified(cfg, args) -> int:
     return 0
 
 
-def cmd_ingest(cfg, args) -> int:
+def cmd_ingest(cfg, args, run=None) -> int:
+    run = {} if run is None else run
     out = _out_dir(cfg, args)
     profiles_dir = out / "profiles"
     profiles_dir.mkdir(exist_ok=True)
@@ -245,7 +304,7 @@ def cmd_ingest(cfg, args) -> int:
     if cfg["dyno_logs"] == "synthetic":
         syn = cfg["dyno_synthetic"]
         cycle = builtin_cycles()[syn["cycle"]]
-        log = make_dyno_log(cycle, _resolve_vehicle(cfg), seed=syn["seed"],
+        log = make_dyno_log(cycle, _vehicle(cfg, run), seed=syn["seed"],
                             sample_rate_hz=syn["sample_rate_hz"],
                             rpm_noise=syn["rpm_noise"], spike_rate=syn["spike_rate"],
                             spike_rpm=syn["spike_rpm"], warmup=syn["warmup"])
@@ -260,6 +319,7 @@ def cmd_ingest(cfg, args) -> int:
                 raise MissingPrerequisite(f"dyno log not found: {path}")
             logs.append(read_dyno_csv(path))
     sm = cfg["smoothing"]
+    rig_traces = run["rig_traces"] = {}
     for log in logs:
         profile = process_log(log, dt=cfg["dt"], bound=sm["bound"],
                               clip_fraction=sm["clip_fraction"], mu=sm["mu"],
@@ -267,7 +327,7 @@ def cmd_ingest(cfg, args) -> int:
         profile.provenance.update(_provenance(cfg))
         csv_path = profiles_dir / f"{log.name}_profile.csv"
         write_profile(profile, csv_path, profiles_dir / f"{log.name}_profile.json")
-        trace = log_to_trace(log, profile)
+        trace = rig_traces[log.name] = log_to_trace(log, profile)
         write_trace_csv(trace, profiles_dir / f"{log.name}_trace.csv")
         print(f"wrote {csv_path} (smoothing steps {profile.provenance['smoothing_steps']}, "
               f"peak |a| {profile.provenance['max_abs_accel_before_clip']:.2f} m/s2)")
@@ -282,7 +342,19 @@ def _model_traces_for(semi, simp, base: Trace, tag: str):
     return semi_tr, simp_tr
 
 
-def cmd_validate(cfg, args) -> int:
+def _rig_traces(out: Path, run: dict) -> list[Trace]:
+    """Ingested rig traces in the order of their ``<name>_trace.csv`` files."""
+    if "rig_traces" not in run:
+        run["rig_traces"] = {}
+        for path in (out / "profiles").glob("*_trace.csv"):
+            name = path.stem.removesuffix("_trace")
+            run["rig_traces"][name] = read_trace_csv(path, name=name)
+    return [trace for _, trace in sorted(run["rig_traces"].items(),
+                                          key=lambda item: f"{item[0]}_trace.csv")]
+
+
+def cmd_validate(cfg, args, run=None) -> int:
+    run = {} if run is None else run
     out = _out_dir(cfg, args)
     reports_dir = out / "reports"
     reports_dir.mkdir(exist_ok=True)
@@ -293,25 +365,26 @@ def cmd_validate(cfg, args) -> int:
             model = read_trace_csv(_require(Path(entry["model"]), "simulate"))
             pairs.append((entry["name"], ref, model))
     else:
-        names = _read_manifest(out)
-        semi = load_semi_model(_require(out / "semi_model.json", "extract"))
-        simp = load_simplified(_require(out / "simplified_model.json", "fit-simplified"))
-        for name in names:
-            ref = read_trace_csv(out / "traces" / f"{name}_reference.csv", name=f"{name}_reference")
+        semi = _semi(out, run)
+        if "simplified" not in run:
+            run["simplified"] = load_simplified(
+                _require(out / "simplified_model.json", "fit-simplified"))
+        simp = run["simplified"]
+        for ref in _dataset(cfg, out, run).traces:
+            name = ref.name
+            ref = replace(ref, name=f"{name}_reference")
             semi_tr, simp_tr = _model_traces_for(semi, simp, ref, name)
             write_trace_csv(semi_tr, out / "traces" / f"{name}_semi.csv")
             write_trace_csv(simp_tr, out / "traces" / f"{name}_simplified.csv")
             pairs.append((f"{name}_semi", ref, semi_tr))
             pairs.append((f"{name}_simplified", ref, simp_tr))
             pairs.append((f"{name}_closure", semi_tr, simp_tr))
-        # ingested rig recordings, when present, are compared the same way:
-        # both models replay the processed (t, v, a) profile
-        for dyno_path in sorted((out / "profiles").glob("*_trace.csv")):
-            tag = dyno_path.stem.removesuffix("_trace")
-            dyno = read_trace_csv(dyno_path, name=tag)
-            semi_tr, simp_tr = _model_traces_for(semi, simp, dyno, tag)
-            pairs.append((f"{tag}_semi", dyno, semi_tr))
-            pairs.append((f"{tag}_simplified", dyno, simp_tr))
+        # ingested rig recordings are compared the same way: both models
+        # replay the processed (t, v, a) profile
+        for dyno in _rig_traces(out, run):
+            semi_tr, simp_tr = _model_traces_for(semi, simp, dyno, dyno.name)
+            pairs.append((f"{dyno.name}_semi", dyno, semi_tr))
+            pairs.append((f"{dyno.name}_simplified", dyno, simp_tr))
     report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir, plots=args.plots)
     _write_artifact(cfg, reports_dir / "report.json", report.to_dict())
     table = report.format_table()
@@ -322,8 +395,11 @@ def cmd_validate(cfg, args) -> int:
 
 
 def cmd_pipeline(cfg, args) -> int:
+    run = {}
+    # stages are looked up as module globals at call time, so wrappers
+    # installed on this module (stage timing) see every call
     for stage in (cmd_simulate, cmd_extract, cmd_fit_simplified, cmd_ingest, cmd_validate):
-        code = stage(cfg, args)
+        code = stage(cfg, args, run)
         if code != 0:
             return code
     return 0
@@ -347,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory (default from config, else ./out)")
-        p.add_argument("--unit", choices=["mps", "kph", "mph"], help="cycle CSV speed unit")
+        p.add_argument("--unit", choices=_UNITS, help="cycle CSV speed unit")
         p.add_argument("--dt", type=float, help="simulation/metric grid step [s]")
         p.add_argument("--plots", action="store_true", help="also render SVG line charts")
         p.set_defaults(func=fn)

@@ -15,19 +15,23 @@ from .errors import ParseError
 _BLOCK = 1024
 
 
-def write_columns(path, columns: dict[str, np.ndarray], fmt) -> None:
+def write_columns(path, columns: dict[str, np.ndarray], fmt: str) -> None:
     """Write equal-length columns under their names, CRLF line ends.
 
-    Integer columns are written with ``str``, float columns with ``fmt``
-    (``repr`` round-trips float64 exactly).
+    Integer columns are written with ``"%d"``, float columns with the printf
+    spec ``fmt`` (``"%r"`` round-trips float64 exactly). Each block of a
+    column is formatted by one ``%`` operation.
     """
+    specs = ["%d" if col.dtype.kind in "iu" else fmt for col in columns.values()]
     n = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns)
+        f.write(",".join(columns) + "\r\n")
         for i in range(0, n, _BLOCK):
-            writer.writerows(zip(*(map(str if col.dtype.kind in "iu" else fmt,
-                                       col[i:i + _BLOCK].tolist()) for col in columns.values())))
+            cells = []
+            for spec, col in zip(specs, columns.values()):
+                block = col[i:i + _BLOCK].tolist()
+                cells.append((",".join([spec] * len(block)) % tuple(block)).split(","))
+            f.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
 
 
 def read_columns(path) -> dict[str, np.ndarray]:

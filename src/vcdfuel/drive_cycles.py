@@ -80,7 +80,7 @@ def save_cycle(cycle: DriveCycle, path, unit: str = "mps") -> None:
     """Write a cycle back to `t,v` CSV in the requested unit."""
     if unit not in _UNIT_FACTORS:
         raise UnitError(f"unknown unit '{unit}'")
-    write_columns(path, {"t": cycle.t, "v": cycle.v / _UNIT_FACTORS[unit]}, "{:.10g}".format)
+    write_columns(path, {"t": cycle.t, "v": cycle.v / _UNIT_FACTORS[unit]}, "%.10g")
 
 
 def resample(cycle: DriveCycle, dt: float) -> DriveCycle:

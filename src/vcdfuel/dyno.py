@@ -98,7 +98,7 @@ def read_dyno_csv(path, name: str | None = None) -> DynoLog:
 
 
 def write_dyno_csv(log: DynoLog, path) -> None:
-    write_columns(path, {col: getattr(log, col) for col in DYNO_COLUMNS}, repr)
+    write_columns(path, {col: getattr(log, col) for col in DYNO_COLUMNS}, "%r")
 
 
 # --- speed reconstruction ----------------------------------------------------
@@ -268,7 +268,7 @@ def process_log(log: DynoLog, dt: float = 0.1, bound: float = ACCEL_BOUND,
 
 
 def write_profile(profile: ProcessedProfile, csv_path, sidecar_path=None) -> None:
-    write_columns(csv_path, {"t": profile.t, "v_mps": profile.v, "a_mps2": profile.a}, repr)
+    write_columns(csv_path, {"t": profile.t, "v_mps": profile.v, "a_mps2": profile.a}, "%r")
     if sidecar_path is not None:
         write_json(sidecar_path, profile.provenance)
 

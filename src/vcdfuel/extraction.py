@@ -18,6 +18,7 @@ import numpy as np
 from .drive_cycles import DriveCycle
 from .errors import (
     DegreeTooHigh,
+    InsufficientData,
     InsufficientGearData,
     NoDownshiftData,
     NoFirstGearData,
@@ -70,10 +71,22 @@ class VcdDataset:
     events: list[ShiftEvent] = field(default_factory=list)
 
     def stacked(self) -> dict[str, np.ndarray]:
-        """All traces concatenated per column, with derived driveline inputs."""
+        """All traces concatenated per column, with derived driveline inputs.
+
+        A trace without flags (a rig recording) reads as all zeros; a trace
+        without any other column raises InsufficientData naming it.
+        """
         cols = {}
         for name in ("v", "a", "grade", "gear", "engine_speed", "engine_torque", "fuel", "flags"):
-            cols[name] = np.concatenate([getattr(tr, name) for tr in self.traces])
+            parts = []
+            for tr in self.traces:
+                col = getattr(tr, name)
+                if col is None and name == "flags":
+                    col = np.zeros(len(tr), dtype=int)
+                elif col is None:
+                    raise InsufficientData(f"trace '{tr.name}' has no '{name}' column")
+                parts.append(col)
+            cols[name] = np.concatenate(parts)
         cols["output_speed"] = transmission_output_speed(self.params, cols["v"])
         cols["wheel_force"] = wheel_force(self.params, cols["v"], cols["a"], cols["grade"],
                                           cols["gear"])
@@ -171,7 +184,9 @@ def extract_downshift_map(ds: VcdDataset) -> tuple[np.ndarray, tuple]:
 
     cutoffs[k-1] is the speed below which gear k is dropped; first gear has
     cutoff 0. Transitions never observed are filled by interpolating over
-    gear index between observed neighbors and reported back.
+    gear index between observed neighbors and reported back. A cutoff that
+    does not come out above the gear below (an unobserved top gear, which
+    interpolation can only hold flat) raises NoDownshiftData naming it.
     """
     n_gears = ds.params.n_gears
     cutoffs = np.full(n_gears, np.nan)
@@ -186,7 +201,13 @@ def extract_downshift_map(ds: VcdDataset) -> tuple[np.ndarray, tuple]:
     if missing.size:
         known = np.nonzero(~np.isnan(cutoffs))[0]
         cutoffs[missing] = np.interp(missing, known, cutoffs[known])
-    return cutoffs, tuple(int(g) + 1 for g in missing)
+    filled = tuple(int(g) + 1 for g in missing)
+    flat = [k + 1 for k in range(1, n_gears) if cutoffs[k] <= cutoffs[k - 1]]
+    if flat:
+        unseen = f" (no downshift seen from gear(s) {list(filled)})" if filled else ""
+        raise NoDownshiftData(f"cannot place the downshift cutoff of gear(s) {flat} "
+                              f"above the gear below{unseen}")
+    return cutoffs, filled
 
 
 def extract_torque_correction(ds: VcdDataset, predict_torque, n_bins: int = 8,
@@ -200,19 +221,13 @@ def extract_torque_correction(ds: VcdDataset, predict_torque, n_bins: int = 8,
     (their torque reflects the cap, not converter behavior). Empty bins are
     omitted, so the returned knots interpolate across them.
     """
-    vs, accs, grades, torques = [], [], [], []
-    for tr in ds.traces:
-        mask = (tr.gear == 1) & (tr.v >= STANDSTILL_SPEED) & ((tr.flags & FLAG_ENVELOPE) == 0)
-        vs.append(tr.v[mask])
-        accs.append(tr.a[mask])
-        grades.append(tr.grade[mask])
-        torques.append(tr.engine_torque[mask])
-    v = np.concatenate(vs)
+    cols = ds.stacked()
+    mask = (cols["gear"] == 1) & (cols["v"] >= STANDSTILL_SPEED) & \
+           ((cols["flags"] & FLAG_ENVELOPE) == 0)
+    v, a, grade = cols["v"][mask], cols["a"][mask], cols["grade"][mask]
     if v.size == 0:
         raise NoFirstGearData("no moving first-gear steps in the dataset")
-    a = np.concatenate(accs)
-    grade = np.concatenate(grades)
-    residual = np.concatenate(torques) - np.asarray(predict_torque(v, a, grade), dtype=float)
+    residual = cols["engine_torque"][mask] - np.asarray(predict_torque(v, a, grade), dtype=float)
 
     edges = np.linspace(accel_range[0], accel_range[1], n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

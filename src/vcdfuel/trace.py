@@ -43,12 +43,14 @@ class Trace:
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
-        for col in _FLOAT_COLS:
+        for col in ("t", *_FLOAT_COLS):
             val = getattr(self, col)
             if val is not None:
                 val = np.asarray(val, dtype=float)
                 if val.shape != self.t.shape:
                     raise ParseError(f"trace '{self.name}': column '{col}' length mismatch")
+                if not np.isfinite(val).all():
+                    raise ParseError(f"trace '{self.name}': column '{col}' holds non-finite values")
                 setattr(self, col, val)
         for col in ("gear", "flags"):
             val = getattr(self, col)
@@ -72,10 +74,10 @@ class Trace:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    # repr round-trips float64 exactly, so rows sitting on mask thresholds
+    # %r round-trips float64 exactly, so rows sitting on mask thresholds
     # (standstill speed, torque floor) survive re-reading
     write_columns(path, {"t": trace.t, **{col: getattr(trace, col) for col in trace.columns()}},
-                  repr)
+                  "%r")
 
 
 def read_trace_csv(path, name: str | None = None) -> Trace:

@@ -190,7 +190,7 @@ def write_comparison_csv(pair: AlignedPair, path) -> None:
         if key in pair.ref and key in pair.model:
             cols[f"{label}_ref"] = pair.ref[key]
             cols[f"{label}_model"] = pair.model[key]
-    write_columns(path, cols, "{:.10g}".format)
+    write_columns(path, cols, "%.10g")
 
 
 def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = 0.1,

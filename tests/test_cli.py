@@ -6,15 +6,28 @@ import pytest
 
 from vcdfuel import cli, validation
 from vcdfuel.cli import load_config, main
+from vcdfuel.drive_cycles import save_cycle
 from vcdfuel.dyno import DYNO_COLUMNS, write_dyno_csv
 from vcdfuel.powertrain import STANDSTILL_SPEED, vehicle_to_dict
-from vcdfuel.synthetic import cruise_cycle, default_vehicle, make_dyno_log
+from vcdfuel.synthetic import (
+    builtin_cycles,
+    cruise_cycle,
+    default_vehicle,
+    make_dyno_log,
+    urban_cycle,
+)
 from vcdfuel.trace import read_trace_csv, write_trace_csv
 from vcdfuel.validation import build_report
 
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +181,28 @@ class TestBadInputsExit1:
         assert "Traceback" not in err
         assert not (out / downstream).exists()
 
+    def test_urban_only_cycle_set_names_top_gear(self, tmp_path, capsys):
+        save_cycle(urban_cycle(), tmp_path / "urban.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cycles": [str(tmp_path / "urban.csv")]}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["extract", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot place the downshift cutoff of gear(s) [6]")
+        assert "Traceback" not in err
+        assert not (out / "semi_model.json").exists()
+
+    def test_two_cycles_with_one_name(self, tmp_path, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            save_cycle(urban_cycle(), tmp_path / sub / "urban.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cycles": [str(tmp_path / sub / "urban.csv")
+                                              for sub in ("a", "b")]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "two cycle files named 'urban'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit, reason", [
         (lambda params: params.pop("mass_kg"), "missing key 'mass_kg'"),
         (lambda params: params.update(mass_kg=-1.0), "masses must be positive"),
@@ -193,6 +228,71 @@ class TestDeterminism:
         for path_a in sorted((out_a / "traces").iterdir()):
             path_b = out_b / "traces" / path_a.name
             assert sha256(path_a) == sha256(path_b), path_a.name
+
+
+STAGES = ("simulate", "extract", "fit-simplified", "ingest", "validate")
+
+
+def user_csv_config(root):
+    """A config on user files: the built-in cycles as km/h CSVs and a rig log."""
+    paths = []
+    for name, cycle in builtin_cycles().items():
+        save_cycle(cycle, root / f"{name}.csv", unit="kph")
+        paths.append(str(root / f"{name}.csv"))
+    write_dyno_csv(make_dyno_log(cruise_cycle(), default_vehicle(), seed=5), root / "rig.csv")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"cycles": paths, "unit": "kph", "dt": 0.2,
+                               "dyno_logs": [str(root / "rig.csv")]}))
+    return cfg
+
+
+class TestInMemoryPipeline:
+    def test_builtin_pipeline_equals_stages(self, pipeline_out, tmp_path):
+        for stage in STAGES:
+            assert main([stage, "--out", str(tmp_path)]) == 0
+        assert tree(tmp_path) == tree(pipeline_out)
+
+    def test_user_csv_pipeline_equals_stages(self, tmp_path):
+        cfg = str(user_csv_config(tmp_path))
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "a"), "--plots"]) == 0
+        for stage in STAGES:
+            assert main([stage, "--config", cfg, "--out", str(tmp_path / "b"), "--plots"]) == 0
+        assert tree(tmp_path / "a") == tree(tmp_path / "b")
+        assert "rig_semi" in json.loads((tmp_path / "a" / "reports" / "report.json")
+                                        .read_text())["records"]
+
+    def test_pipeline_reads_back_nothing_it_wrote(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pipeline re-read an artifact it wrote")
+
+        for name in ("read_trace_csv", "load_semi_model", "load_simplified"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert main(["pipeline", "--out", str(tmp_path)]) == 0
+
+    def test_stages_looked_up_as_module_globals(self, tmp_path, monkeypatch):
+        # stage timing wraps the cmd_* attributes of vcdfuel.cli by name
+        calls = []
+        real = cli.cmd_extract
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cmd_extract", counting)
+        assert main(["pipeline", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_pipeline_ignores_stale_rig_traces(self, pipeline_out, tmp_path):
+        out = tmp_path / "out"
+        (out / "profiles").mkdir(parents=True)
+        shutil.copy(pipeline_out / "profiles" / "cruise_dyno_trace.csv",
+                    out / "profiles" / "stale_trace.csv")
+        assert main(["pipeline", "--out", str(out)]) == 0
+        records = json.loads((out / "reports" / "report.json").read_text())["records"]
+        assert "cruise_dyno_semi" in records and "stale_semi" not in records
+        # validate run alone compares every rig trace it finds
+        assert main(["validate", "--out", str(out)]) == 0
+        assert "stale_semi" in json.loads((out / "reports" / "report.json").read_text())["records"]
 
 
 class TestValidateEquivalence:
@@ -245,9 +345,20 @@ class TestConfig:
         (json.dumps({"dyno_synthetic": {"warmup": 1}}),
          "config key 'dyno_synthetic.warmup' must be true or false"),
         ('{"dt": NaN}', "non-finite value 'NaN'"),
+        (json.dumps({"vehicle": 5}), "config key 'vehicle' must be \"builtin\" or a vehicle"),
+        (json.dumps({"cycles": 5}), "config key 'cycles' must be \"builtin\" or a list of"),
+        (json.dumps({"cycles": ["a.csv", 5]}), "config key 'cycles' must be"),
+        (json.dumps({"unit": "furlong"}), "config key 'unit' must be one of mps, kph, mph"),
+        (json.dumps({"dyno_logs": 5}), "config key 'dyno_logs' must be \"synthetic\" or a list"),
+        (json.dumps({"dyno_synthetic": {"cycle": "nope"}}),
+         "config key 'dyno_synthetic.cycle' must be the name of a built-in cycle"),
+        (json.dumps({"validate_pairs": [{"name": "x"}]}),
+         "config key 'validate_pairs' must be null or a list"),
+        (json.dumps({"out_dir": 5}), "config key 'out_dir' must be a directory path"),
     ], ids=["top-level-typo", "nested-typo", "truncated-json", "not-an-object", "string-dt",
             "int-grid", "short-shape", "fractional-degree", "bool-integer", "bool-number",
-            "int-bool", "nan-dt"])
+            "int-bool", "nan-dt", "int-vehicle", "int-cycles", "int-cycle-path", "unknown-unit",
+            "int-dyno-logs", "unknown-synthetic-cycle", "pair-without-paths", "int-out-dir"])
     def test_bad_config_exits_1(self, tmp_path, capsys, text, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(text)

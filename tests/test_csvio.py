@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from vcdfuel.csvio import read_columns, write_columns
 from vcdfuel.errors import ParseError
-from vcdfuel.trace import read_trace_csv
+from vcdfuel.trace import Trace, read_trace_csv
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # read_columns returns float64, which holds every integer up to 2**53 exactly
@@ -25,7 +27,7 @@ class TestRoundTrip:
     def test_bit_exact(self, tmp_path_factory, cols):
         x, y, n = cols
         path = tmp_path_factory.mktemp("csv") / "cols.csv"
-        write_columns(path, {"x": x, "y": y, "n": n}, repr)
+        write_columns(path, {"x": x, "y": y, "n": n}, "%r")
         back = read_columns(path)
         assert list(back) == ["x", "y", "n"]
         assert np.array_equal(back["x"].view(np.int64), x.view(np.int64))
@@ -37,20 +39,61 @@ class TestRoundTrip:
         x = rng.integers(0, 2**63, 2_500, dtype=np.uint64).view(np.float64)
         x[~np.isfinite(x)] = 0.0
         path = tmp_path / "long.csv"
-        write_columns(path, {"x": x, "n": np.arange(x.size)}, repr)
+        write_columns(path, {"x": x, "n": np.arange(x.size)}, "%r")
         back = read_columns(path)
         assert np.array_equal(back["x"].view(np.int64), x.view(np.int64))
         assert np.array_equal(back["n"], np.arange(x.size))
 
     def test_crlf_and_integer_cells(self, tmp_path):
         path = tmp_path / "c.csv"
-        write_columns(path, {"t": np.array([0.0, 0.5]), "gear": np.array([1, 2])}, repr)
+        write_columns(path, {"t": np.array([0.0, 0.5]), "gear": np.array([1, 2])}, "%r")
         assert path.read_bytes() == b"t,gear\r\n0.0,1\r\n0.5,2\r\n"
 
     def test_format_applies_to_float_columns(self, tmp_path):
         path = tmp_path / "c.csv"
-        write_columns(path, {"t": np.array([1 / 3]), "gear": np.array([3])}, "{:.10g}".format)
+        write_columns(path, {"t": np.array([1 / 3]), "gear": np.array([3])}, "%.10g")
         assert path.read_bytes() == b"t,gear\r\n0.3333333333,3\r\n"
+
+
+def csv_writer_columns(path, columns, fmt):
+    """The writer before bulk formatting: ``csv.writer`` rows, one ``fmt``
+    call per float cell and ``str`` per integer cell. Kept as the reference
+    that ``write_columns`` must match byte for byte."""
+    n = len(next(iter(columns.values())))
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        for i in range(0, n, 1024):
+            writer.writerows(zip(*(map(str if col.dtype.kind in "iu" else fmt,
+                                       col[i:i + 1024].tolist()) for col in columns.values())))
+
+
+SPECS = [("%r", repr), ("%.10g", "{:.10g}".format)]
+
+
+class TestWriteOracle:
+    @given(columns, st.sampled_from(SPECS))
+    @example((edge, edge[::-1].copy(), np.arange(-5, 5)), SPECS[0])
+    @example((edge, edge[::-1].copy(), np.arange(-5, 5)), SPECS[1])
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, cols, specs):
+        spec, fmt = specs
+        x, y, n = cols
+        cols = {"x": x, "n": n, "y": y}
+        path = tmp_path_factory.mktemp("csv")
+        write_columns(path / "new.csv", cols, spec)
+        csv_writer_columns(path / "old.csv", cols, fmt)
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("spec, fmt", SPECS, ids=["repr", "10g"])
+    def test_same_bytes_across_blocks(self, tmp_path, spec, fmt):
+        rng = np.random.default_rng(1)
+        x = rng.integers(0, 2**64, 2_500, dtype=np.uint64).view(np.float64)
+        x[~np.isfinite(x)] = -0.0
+        cols = {"t": np.arange(x.size) * 0.1, "x": x,
+                "gear": rng.integers(1, 7, x.size), "big": rng.integers(-2**62, 2**62, x.size)}
+        write_columns(tmp_path / "new.csv", cols, spec)
+        csv_writer_columns(tmp_path / "old.csv", cols, fmt)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestReadColumns:
@@ -120,3 +163,10 @@ class TestTraceColumns:
         trace = read_trace_csv(path)
         assert trace.gear.dtype.kind == "i" and trace.gear.tolist() == [1, 2]
         assert trace.flags.tolist() == [0, 4]
+
+    @pytest.mark.parametrize("col, value", [("t", np.nan), ("v", np.inf), ("fuel", -np.inf)])
+    def test_non_finite_float_column_rejected(self, col, value):
+        cols = {"t": np.arange(3.0), "v": np.ones(3), "fuel": np.ones(3)}
+        cols[col][1] = value
+        with pytest.raises(ParseError, match=f"trace 'x': column '{col}' holds non-finite"):
+            Trace(name="x", **cols)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from vcdfuel.drive_cycles import DriveCycle
+from vcdfuel.dyno import log_to_trace, process_log
 from vcdfuel.errors import (
     DegreeTooHigh,
+    InsufficientData,
     InsufficientGearData,
     NoDownshiftData,
     NoFuelCutData,
@@ -25,7 +27,7 @@ from vcdfuel.extraction import (
     run_vcd,
 )
 from vcdfuel.powertrain import STANDSTILL_SPEED, simulate, wheel_force
-from vcdfuel.synthetic import cruise_cycle, default_vehicle, urban_cycle
+from vcdfuel.synthetic import cruise_cycle, default_vehicle, make_dyno_log, urban_cycle
 
 
 def percentile_oracle(values, q):
@@ -150,6 +152,17 @@ class TestDownshiftMap:
         events = [ShiftEvent("c", 1, 1, 2, 5.0, 0.0)]
         with pytest.raises(NoDownshiftData):
             extract_downshift_map(synthetic_dataset(vehicle.params, events))
+
+    def test_unobserved_top_gear_cannot_be_placed(self, vehicle):
+        # interpolation can only hold the highest observed cutoff flat
+        events = [ShiftEvent("c", k, k, k - 1, 3.0 * k, 0.0) for k in range(2, 6)]
+        with pytest.raises(NoDownshiftData, match=r"gear\(s\) \[6\] above the gear below "
+                                                  r"\(no downshift seen from gear\(s\) \[6\]\)"):
+            extract_downshift_map(synthetic_dataset(vehicle.params, events))
+
+    def test_urban_cycle_alone_names_top_gear(self, vehicle):
+        with pytest.raises(NoDownshiftData, match=r"\[6\]"):
+            extract_downshift_map(run_vcd(vehicle, [urban_cycle()], dt=0.1))
 
     def test_cutoffs_inside_hysteresis_bands(self, vehicle, dataset):
         # events record the first step in the new gear, so the observed
@@ -351,3 +364,33 @@ class TestFuelCutConstantSample:
         ds = VcdDataset(params=vehicle.params, traces=[trace])
         cut_speed, _ = extract_fuel_cut_thresholds(ds)
         assert cut_speed == 10.0
+
+
+class TestRigTraces:
+    @pytest.fixture(scope="class")
+    def rig_trace(self, vehicle):
+        log = make_dyno_log(cruise_cycle(), vehicle, seed=2024)
+        return log_to_trace(log, process_log(log))
+
+    def test_missing_flags_read_as_zeros(self, vehicle, rig_trace):
+        assert rig_trace.flags is None
+        cols = VcdDataset(params=vehicle.params, traces=[rig_trace]).stacked()
+        assert cols["flags"].dtype.kind == "i" and cols["flags"].size == len(rig_trace)
+        assert not cols["flags"].any()
+
+    def test_fuel_cut_thresholds_on_cruise_rig_trace(self, vehicle, rig_trace):
+        rig = extract_fuel_cut_thresholds(VcdDataset(params=vehicle.params, traces=[rig_trace]))
+        vcd = extract_fuel_cut_thresholds(run_vcd(vehicle, [cruise_cycle()], dt=0.1))
+        assert np.isfinite(rig).all()
+        assert rig[0] == pytest.approx(vcd[0], abs=0.1)
+
+    def test_torque_correction_on_cruise_rig_trace(self, vehicle, rig_trace):
+        ds = VcdDataset(params=vehicle.params, traces=[rig_trace])
+        knots = extract_torque_correction(ds, lambda v, a, grade: np.zeros_like(v))
+        assert knots and all(np.isfinite(knot).all() for knot in knots)
+
+    def test_missing_column_named(self, vehicle, rig_trace):
+        bare = dataclasses.replace(rig_trace, name="bare", fuel=None)
+        ds = VcdDataset(params=vehicle.params, traces=[rig_trace, bare])
+        with pytest.raises(InsufficientData, match="trace 'bare' has no 'fuel' column"):
+            extract_fuel_cut_thresholds(ds)
