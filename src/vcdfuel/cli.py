@@ -28,9 +28,9 @@ from pathlib import Path
 
 from . import __version__
 from .drive_cycles import load_cycle
-from .dyno import log_to_trace, process_log, read_dyno_csv, write_dyno_csv, write_profile
+from .dyno import process_log, read_dyno_csv, write_dyno_csv, write_profile
 from .errors import MissingPrerequisite, ParseError, VcdFuelError
-from .extraction import VcdDataset, detect_shift_events, run_vcd
+from .extraction import VcdDataset, run_vcd
 from .jsonio import read_json, write_json
 from .powertrain import ReferenceVehicle, load_vehicle
 from .semi_principled import (
@@ -114,8 +114,8 @@ def _pairs(val) -> bool:
 # keys whose default is a string or null: what each accepts instead of a type
 _FREE_KEYS = {
     "vehicle": (lambda val: isinstance(val, str), '"builtin" or a vehicle JSON path'),
-    "cycles": (lambda val: val == "builtin" or _paths(val),
-               '"builtin" or a list of cycle CSV paths'),
+    "cycles": (lambda val: val == "builtin" or (_paths(val) and len(val) > 0),
+               '"builtin" or a list of cycle CSV paths, at least one'),
     "unit": (lambda val: val in _UNITS, f"one of {', '.join(_UNITS)}"),
     "dyno_logs": (lambda val: val == "synthetic" or _paths(val),
                   '"synthetic" or a list of dyno log CSV paths'),
@@ -250,9 +250,7 @@ def _dataset(cfg, out: Path, run: dict) -> VcdDataset:
     if "dataset" not in run:
         traces = [read_trace_csv(_require(out / "traces" / f"{name}_reference.csv", "simulate"),
                                  name=name) for name in _read_manifest(out)]
-        events = [ev for tr in traces for ev in detect_shift_events(tr)]
-        run["dataset"] = VcdDataset(params=_vehicle(cfg, run).params, traces=traces,
-                                    events=events)
+        run["dataset"] = VcdDataset.from_traces(_vehicle(cfg, run).params, traces)
     return run["dataset"]
 
 
@@ -325,9 +323,10 @@ def cmd_ingest(cfg, args, run=None) -> int:
                               clip_fraction=sm["clip_fraction"], mu=sm["mu"],
                               hot_threshold=sm["hot_threshold"], max_steps=sm["max_steps"])
         profile.provenance.update(_provenance(cfg))
+        trace = rig_traces[log.name] = profile.trace
         csv_path = profiles_dir / f"{log.name}_profile.csv"
-        write_profile(profile, csv_path, profiles_dir / f"{log.name}_profile.json")
-        trace = rig_traces[log.name] = log_to_trace(log, profile)
+        write_profile(trace, csv_path)
+        write_json(profiles_dir / f"{log.name}_profile.json", profile.provenance)
         write_trace_csv(trace, profiles_dir / f"{log.name}_trace.csv")
         print(f"wrote {csv_path} (smoothing steps {profile.provenance['smoothing_steps']}, "
               f"peak |a| {profile.provenance['max_abs_accel_before_clip']:.2f} m/s2)")

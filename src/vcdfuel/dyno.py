@@ -19,6 +19,7 @@ from .csvio import read_columns, write_columns
 from .errors import (
     BoundNotReached,
     InsufficientData,
+    InvalidArgument,
     MonotonicityError,
     NeverHot,
     NonPositiveSlope,
@@ -27,7 +28,6 @@ from .errors import (
     SmoothingDiverged,
 )
 from .extraction import percentile
-from .jsonio import write_json
 from .trace import RADPS_TO_RPM, Trace
 
 KPH_TO_MPS = 1.0 / 3.6
@@ -128,6 +128,11 @@ def derive_speed(log: DynoLog, slope: float) -> np.ndarray:
 
 # --- smoothing and differentiation --------------------------------------------
 
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu <= 1.0:
+        raise InvalidArgument(f"smoothing mu must be in [0, 1], got {mu}")
+
+
 def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray:
     """Iterated three-point weighted average.
 
@@ -136,10 +141,9 @@ def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray
     pass's values throughout (full-pass update); the two endpoints are
     left untouched.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    _check_mu(mu)
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise InvalidArgument("smoothing steps must be nonnegative")
     s = np.asarray(series, dtype=float).copy()
     if s.size < 3:
         raise SeriesTooShort(f"need at least 3 samples, got {s.size}")
@@ -151,7 +155,7 @@ def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray
 def derive_acceleration(series, dt: float) -> np.ndarray:
     """Temporal derivative: central differences inside, one-sided at the ends."""
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise InvalidArgument("dt must be positive")
     return np.gradient(np.asarray(series, dtype=float), dt)
 
 
@@ -159,7 +163,7 @@ def clip_outliers(series, fraction: float = CLIP_FRACTION) -> np.ndarray:
     """Winsorize: values beyond the [fraction, 1-fraction] percentiles are
     replaced by the percentile bounds, keeping the series aligned."""
     if not 0.0 <= fraction < 0.5:
-        raise ValueError(f"fraction must be in [0, 0.5), got {fraction}")
+        raise InvalidArgument(f"clip fraction must be in [0, 0.5), got {fraction}")
     s = np.asarray(series, dtype=float)
     if fraction == 0.0:
         return s.copy()
@@ -188,7 +192,8 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
     aborts the run.
     """
     if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+        raise InvalidArgument("smoothing max_steps must be at least 1")
+    _check_mu(mu)  # also when the raw series already fits the bound
     smoothed = np.asarray(series, dtype=float).copy()
     if smoothed.size < 3:
         raise SeriesTooShort(f"need at least 3 samples, got {smoothed.size}")
@@ -229,12 +234,9 @@ def hot_engine_window(log: DynoLog, threshold: float = HOT_THRESHOLD_C) -> tuple
 
 @dataclass
 class ProcessedProfile:
-    """Model-ready (t, v, a) rows plus how they were produced."""
+    """The rig recording as a model-ready trace plus how it was produced."""
 
-    name: str
-    t: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
+    trace: Trace
     provenance: dict = field(default_factory=dict)
 
 
@@ -242,7 +244,11 @@ def process_log(log: DynoLog, dt: float = 0.1, bound: float = ACCEL_BOUND,
                 clip_fraction: float = CLIP_FRACTION, mu: float = SMOOTHING_MU,
                 hot_threshold: float | None = HOT_THRESHOLD_C,
                 max_steps: int = 200) -> ProcessedProfile:
-    """Window, resample, regress, smooth, differentiate, winsorize."""
+    """Window, resample, regress, smooth, differentiate, winsorize.
+
+    The trace holds the rebuilt (t, v, a) on flat grade and the other rig
+    channels as resampled onto the same grid.
+    """
     if hot_threshold is not None:
         t_start, t_end = hot_engine_window(log, hot_threshold)
         windowed = log.window(t_start, t_end)
@@ -254,36 +260,22 @@ def process_log(log: DynoLog, dt: float = 0.1, bound: float = ACCEL_BOUND,
     v_derived = derive_speed(uniform, slope)
     selection = auto_select_smoothing(v_derived, dt, bound=bound, mu=mu, max_steps=max_steps)
     accel = clip_outliers(selection.accel, clip_fraction)
-    return ProcessedProfile(
-        name=log.name, t=uniform.t, v=selection.smoothed, a=accel,
-        provenance={
-            "slope_kph_per_rpm": slope,
-            "smoothing_steps": selection.steps,
-            "smoothing_mu": mu,
-            "max_abs_accel_before_clip": selection.max_abs_accel,
-            "clip_fraction": clip_fraction,
-            "hot_window_s": [t_start, t_end],
-            "dt": dt,
-        })
+    trace = Trace(name=log.name, t=uniform.t, v=selection.smoothed, a=accel,
+                  grade=np.zeros_like(uniform.t), gear=uniform.gear,
+                  engine_speed=uniform.engine_rpm / RADPS_TO_RPM,
+                  engine_torque=uniform.engine_torque_nm, pedal=uniform.pedal_pct,
+                  fuel=uniform.fuel_gps)
+    return ProcessedProfile(trace=trace, provenance={
+        "slope_kph_per_rpm": slope,
+        "smoothing_steps": selection.steps,
+        "smoothing_mu": mu,
+        "max_abs_accel_before_clip": selection.max_abs_accel,
+        "clip_fraction": clip_fraction,
+        "hot_window_s": [t_start, t_end],
+        "dt": dt,
+    })
 
 
-def write_profile(profile: ProcessedProfile, csv_path, sidecar_path=None) -> None:
-    write_columns(csv_path, {"t": profile.t, "v_mps": profile.v, "a_mps2": profile.a}, "%r")
-    if sidecar_path is not None:
-        write_json(sidecar_path, profile.provenance)
-
-
-def log_to_trace(log: DynoLog, profile: ProcessedProfile) -> Trace:
-    """Dyno channels interpolated onto the processed profile's grid, as a
-    Trace comparable with model output."""
-    uniform = log.window(profile.provenance.get("hot_window_s", [log.t[0], log.t[-1]])[0],
-                         profile.provenance.get("hot_window_s", [log.t[0], log.t[-1]])[1])
-    t = profile.t
-    idx = np.clip(np.searchsorted(uniform.t, t - 1e-12), 0, len(uniform) - 1)
-    return Trace(name=log.name, t=t, v=profile.v, a=profile.a,
-                 grade=np.zeros_like(t),
-                 gear=uniform.gear[idx],
-                 engine_speed=np.interp(t, uniform.t, uniform.engine_rpm) / RADPS_TO_RPM,
-                 engine_torque=np.interp(t, uniform.t, uniform.engine_torque_nm),
-                 pedal=np.interp(t, uniform.t, uniform.pedal_pct),
-                 fuel=np.interp(t, uniform.t, uniform.fuel_gps))
+def write_profile(trace: Trace, csv_path) -> None:
+    """The (t, v, a) columns of a processed rig trace."""
+    write_columns(csv_path, {"t": trace.t, "v_mps": trace.v, "a_mps2": trace.a}, "%r")

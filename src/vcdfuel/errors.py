@@ -5,6 +5,11 @@ class VcdFuelError(Exception):
     """Base class for all vcdfuel errors."""
 
 
+class InvalidArgument(VcdFuelError, ValueError):
+    """A parameter outside its valid range, such as a config value a stage
+    passes on unchanged; still a ValueError to library callers."""
+
+
 # --- drive cycle loading -----------------------------------------------------
 
 class ParseError(VcdFuelError):

@@ -20,6 +20,7 @@ from .errors import (
     DegreeTooHigh,
     InsufficientData,
     InsufficientGearData,
+    InvalidArgument,
     NoDownshiftData,
     NoFirstGearData,
     NoFuelCutData,
@@ -70,6 +71,14 @@ class VcdDataset:
     traces: list[Trace]
     events: list[ShiftEvent] = field(default_factory=list)
 
+    @classmethod
+    def from_traces(cls, params: VehicleParams, traces) -> "VcdDataset":
+        """Dataset of simulated, re-read or rig-recorded traces, with the
+        shift events found in each."""
+        traces = list(traces)
+        return cls(params=params, traces=traces,
+                   events=[ev for tr in traces for ev in detect_shift_events(tr)])
+
     def stacked(self) -> dict[str, np.ndarray]:
         """All traces concatenated per column, with derived driveline inputs.
 
@@ -107,10 +116,9 @@ def detect_shift_events(trace: Trace) -> list[ShiftEvent]:
 def run_vcd(vehicle: ReferenceVehicle, cycles: list[DriveCycle], dt: float = 0.1) -> VcdDataset:
     """Simulate every cycle on flat grade and collect traces + shift events."""
     if not cycles:
-        raise ValueError("need at least one cycle")
-    traces = [simulate(c, vehicle, grade=0.0, dt=dt) for c in cycles]
-    events = [ev for tr in traces for ev in detect_shift_events(tr)]
-    return VcdDataset(params=vehicle.params, traces=traces, events=events)
+        raise InvalidArgument("need at least one cycle")
+    return VcdDataset.from_traces(vehicle.params,
+                                  [simulate(c, vehicle, grade=0.0, dt=dt) for c in cycles])
 
 
 # --- constants ---------------------------------------------------------------
@@ -331,7 +339,7 @@ def fit_poly2d(xs, ys, zs, degree: tuple[int, int], degree_cap: int = 4,
     """
     d1, d2 = degree
     if d1 < 0 or d2 < 0:
-        raise ValueError("degrees must be nonnegative")
+        raise InvalidArgument(f"map degrees must be nonnegative, got {list(degree)}")
     if d1 + d2 > degree_cap:
         raise DegreeTooHigh(f"total degree {d1 + d2} exceeds cap {degree_cap}")
     x = np.asarray(xs, dtype=float).ravel()

@@ -194,6 +194,12 @@ class ControlParams:
     # as (accel m/s2, extra torque Nm) knots; empty list means zero
     launch_correction: tuple = ()
 
+    def __post_init__(self):
+        # the extracted idle fuel and the simplified model's standstill
+        # floor are this value, and both must be positive
+        if not self.idle_fuel_gps > 0:
+            raise ValueError("idle_fuel_gps must be positive")
+
 
 @dataclass(frozen=True)
 class ReferenceVehicle:
@@ -229,6 +235,13 @@ def wheel_force(params: VehicleParams, v, a, grade, gear):
     return (params.gear_masses[gear - 1] * np.asarray(a, dtype=float)
             + road_load(params, v)
             + params.mass * GRAVITY * np.sin(grade))
+
+
+def invert_driveline(params: VehicleParams, force, gear):
+    """Engine torque [Nm] that puts wheel force ``force`` [N] on the road in
+    ``gear`` (one index or an array of them), through the driveline losses."""
+    ratio = params.gear_ratios[np.asarray(gear) - 1]
+    return force * params.tire_radius / (params.final_drive * ratio * params.driveline_eff)
 
 
 def transmission_output_speed(params: VehicleParams, v):
@@ -327,7 +340,7 @@ def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float 
     pedal = pedal_by_gear[row, col]
     engine_speed = np.clip(transmission_output_speed(p, v) * p.gear_ratios[row],
                            p.engine_speed_idle, p.engine_speed_max)
-    engine_torque = force * p.tire_radius / (p.final_drive * p.gear_ratios[row] * p.driveline_eff)
+    engine_torque = invert_driveline(p, force, gear)
     engine_torque = np.where(gear == 1, engine_torque + launch_torque(ctl.launch_correction, a),
                              engine_torque)
     t_cap = maps.max_engine_torque(engine_speed)

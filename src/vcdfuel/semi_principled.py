@@ -34,6 +34,7 @@ from .powertrain import (
     GearShiftMaps,
     ReferenceVehicle,
     VehicleParams,
+    invert_driveline,
     launch_torque,
     max_wheel_torque_by_gear,
     params_from_dict,
@@ -233,8 +234,7 @@ def build_semi_model_from_dataset(ds: VcdDataset, shift_maps: GearShiftMaps,
     cutoffs, filled = extract_downshift_map(ds)
 
     def principled_first_gear_torque(v, a, grade):
-        force = wheel_force(p, v, a, grade, 1)
-        return force * p.tire_radius / (p.final_drive * p.gear_ratios[0] * p.driveline_eff)
+        return invert_driveline(p, wheel_force(p, v, a, grade, 1), 1)
 
     correction = extract_torque_correction(ds, principled_first_gear_torque)
     constants = ExtractedConstants(torque_floor=torque_floor, idle_fuel=idle_fuel,

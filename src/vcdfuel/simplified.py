@@ -13,12 +13,12 @@ by a positivity projection on the constant term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import ConstraintInfeasible, RankDeficient
+from .errors import ConstraintInfeasible, InvalidArgument, RankDeficient
 from .jsonio import read_json
 from .powertrain import STANDSTILL_SPEED
 from .semi_principled import SemiPrincipledModel, domain_excess, evaluate
@@ -43,7 +43,11 @@ class FitGrid:
 
     def __post_init__(self):
         if min(self.shape) < 10:
-            raise ValueError("need at least 10 grid cells per axis")
+            raise InvalidArgument(f"need at least 10 grid cells per axis, got {list(self.shape)}")
+        for axis, (lo, hi) in zip(("v", "a", "grade"),
+                                  (self.v_range, self.a_range, self.grade_range)):
+            if not lo < hi:
+                raise InvalidArgument(f"fit grid {axis} range [{lo}, {hi}] must have lo < hi")
 
     def axes(self):
         out = []
@@ -194,6 +198,8 @@ def fit_to_function(fuel_fn, cut_speed: float, beta: float, grid: FitGrid,
     deg = dict(DEFAULT_DEGREES)
     if degrees:
         deg.update(degrees)
+    if min(deg.values()) < 0:
+        raise InvalidArgument(f"simplified-model degrees must be nonnegative, got {deg}")
     v_ax, a_ax, g_ax = grid.axes()
     vg, ag, gg = np.meshgrid(v_ax, a_ax, g_ax, indexing="ij")
     sample = fuel_fn(vg.ravel(), ag.ravel(), gg.ravel())
@@ -315,13 +321,8 @@ def _enforce_positivity(model: SimplifiedModel, n_check: int = 512) -> Simplifie
     shift = -worst + POSITIVITY_MARGIN
     coeff_c = model.coeff_c.copy()
     coeff_c[0] += shift
-    diagnostics = dict(model.diagnostics)
-    diagnostics["positivity_shift"] = shift
-    fixed = SimplifiedModel(beta=model.beta, cut_speed=model.cut_speed, coeff_c=coeff_c,
-                            coeff_p=model.coeff_p, coeff_q=model.coeff_q, coeff_z=model.coeff_z,
-                            cut_boundary=model.cut_boundary, v_range=model.v_range,
-                            a_range=model.a_range, grade_range=model.grade_range,
-                            diagnostics=diagnostics)
+    fixed = replace(model, coeff_c=coeff_c,
+                    diagnostics={**model.diagnostics, "positivity_shift": shift})
     check = float(np.min(fixed.positive_part(v, fixed.min_accel(v), 0.0)))
     if check <= 0:
         raise ConstraintInfeasible("positivity projection failed to lift the minimum")

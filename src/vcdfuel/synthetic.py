@@ -16,6 +16,7 @@ import numpy as np
 
 from .drive_cycles import DriveCycle
 from .dyno import DynoLog
+from .errors import InvalidArgument
 from .powertrain import (
     ControlParams,
     EngineFuelMap,
@@ -136,6 +137,12 @@ def make_dyno_log(cycle: DriveCycle, vehicle: ReferenceVehicle, seed: int = 2024
     speed exceed 100 m/s2. Water temperature follows a first-order warm-up
     crossing the hot threshold near ``hot_cross_s``.
     """
+    if not sample_rate_hz > 0:
+        raise InvalidArgument(f"dyno sample rate must be positive, got {sample_rate_hz} Hz")
+    if not rpm_noise >= 0:
+        raise InvalidArgument(f"dyno rpm noise must be nonnegative, got {rpm_noise} rpm")
+    if seed < 0:
+        raise InvalidArgument(f"dyno seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     trace = simulate(cycle, vehicle, grade=0.0, dt=1.0 / sample_rate_hz)
     v_kph = trace.v * 3.6

@@ -174,7 +174,7 @@ class TestCriterion6DynoIngestion:
         uniform = log.window(*profile.provenance["hot_window_s"]).resampled(0.1)
         raw_speed = derive_speed(uniform, slope)
         raw_peak = float(np.max(np.abs(derive_acceleration(raw_speed, 0.1))))
-        smoothed_peak = float(np.max(np.abs(profile.a)))
+        smoothed_peak = float(np.max(np.abs(profile.trace.a)))
         elapsed = time.perf_counter() - start
 
         detail = (f"slope err {100 * slope_err:.3f}% (<=0.5%), raw peak |a| {raw_peak:.0f} m/s2 "

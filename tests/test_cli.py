@@ -204,12 +204,14 @@ class TestBadInputsExit1:
         assert "two cycle files named 'urban'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, reason", [
-        (lambda params: params.pop("mass_kg"), "missing key 'mass_kg'"),
-        (lambda params: params.update(mass_kg=-1.0), "masses must be positive"),
-    ], ids=["missing-mass", "negative-mass"])
+        (lambda doc: doc["params"].pop("mass_kg"), "missing key 'mass_kg'"),
+        (lambda doc: doc["params"].update(mass_kg=-1.0), "masses must be positive"),
+        (lambda doc: doc["control"].update(idle_fuel_gps=0.0), "idle_fuel_gps must be positive"),
+        (lambda doc: doc["control"].update(idle_fuel_gps=-0.1), "idle_fuel_gps must be positive"),
+    ], ids=["missing-mass", "negative-mass", "zero-idle-fuel", "negative-idle-fuel"])
     def test_bad_vehicle_json(self, tmp_path, capsys, edit, reason):
         doc = vehicle_to_dict(default_vehicle())
-        edit(doc["params"])
+        edit(doc)
         vehicle = tmp_path / "veh.json"
         vehicle.write_text(json.dumps(doc))
         cfg = tmp_path / "cfg.json"
@@ -330,44 +332,88 @@ class TestConfig:
         cfg = load_config(cfg_file, {"dt": 0.05})
         assert cfg["dt"] == 0.05
 
-    @pytest.mark.parametrize("text, message", [
-        (json.dumps({"gird": {"shape": [8, 8, 3]}}), "unknown config key 'gird'"),
-        (json.dumps({"smoothing": {"mue": 0.4}}), "unknown config key 'smoothing.mue'"),
-        ('{"dt": 0.1,', "Expecting property name"),
-        ("[0.1]", "config must be a JSON object"),
-        (json.dumps({"dt": "0.1"}), "config key 'dt' must be a number"),
-        (json.dumps({"grid": 5}), "config key 'grid' must be an object"),
-        (json.dumps({"grid": {"shape": [48, 36]}}), "config key 'grid.shape' must be a list of 3"),
-        (json.dumps({"degrees": {"C": 3.5}}), "config key 'degrees.C' must be an integer"),
-        (json.dumps({"min_gear_samples": True}),
+    @pytest.mark.parametrize("stage, text, message", [
+        ("simulate", json.dumps({"gird": {"shape": [8, 8, 3]}}), "unknown config key 'gird'"),
+        ("simulate", json.dumps({"smoothing": {"mue": 0.4}}),
+         "unknown config key 'smoothing.mue'"),
+        ("simulate", '{"dt": 0.1,', "Expecting property name"),
+        ("simulate", "[0.1]", "config must be a JSON object"),
+        ("simulate", json.dumps({"dt": "0.1"}), "config key 'dt' must be a number"),
+        ("simulate", json.dumps({"grid": 5}), "config key 'grid' must be an object"),
+        ("simulate", json.dumps({"grid": {"shape": [48, 36]}}),
+         "config key 'grid.shape' must be a list of 3"),
+        ("simulate", json.dumps({"degrees": {"C": 3.5}}),
+         "config key 'degrees.C' must be an integer"),
+        ("simulate", json.dumps({"min_gear_samples": True}),
          "config key 'min_gear_samples' must be an integer"),
-        (json.dumps({"smoothing": {"mu": False}}), "config key 'smoothing.mu' must be a number"),
-        (json.dumps({"dyno_synthetic": {"warmup": 1}}),
+        ("simulate", json.dumps({"smoothing": {"mu": False}}),
+         "config key 'smoothing.mu' must be a number"),
+        ("simulate", json.dumps({"dyno_synthetic": {"warmup": 1}}),
          "config key 'dyno_synthetic.warmup' must be true or false"),
-        ('{"dt": NaN}', "non-finite value 'NaN'"),
-        (json.dumps({"vehicle": 5}), "config key 'vehicle' must be \"builtin\" or a vehicle"),
-        (json.dumps({"cycles": 5}), "config key 'cycles' must be \"builtin\" or a list of"),
-        (json.dumps({"cycles": ["a.csv", 5]}), "config key 'cycles' must be"),
-        (json.dumps({"unit": "furlong"}), "config key 'unit' must be one of mps, kph, mph"),
-        (json.dumps({"dyno_logs": 5}), "config key 'dyno_logs' must be \"synthetic\" or a list"),
-        (json.dumps({"dyno_synthetic": {"cycle": "nope"}}),
+        ("simulate", '{"dt": NaN}', "non-finite value 'NaN'"),
+        ("simulate", json.dumps({"vehicle": 5}),
+         "config key 'vehicle' must be \"builtin\" or a vehicle"),
+        ("simulate", json.dumps({"cycles": 5}),
+         "config key 'cycles' must be \"builtin\" or a list of"),
+        ("simulate", json.dumps({"cycles": ["a.csv", 5]}), "config key 'cycles' must be"),
+        ("simulate", json.dumps({"unit": "furlong"}),
+         "config key 'unit' must be one of mps, kph, mph"),
+        ("simulate", json.dumps({"dyno_logs": 5}),
+         "config key 'dyno_logs' must be \"synthetic\" or a list"),
+        ("simulate", json.dumps({"dyno_synthetic": {"cycle": "nope"}}),
          "config key 'dyno_synthetic.cycle' must be the name of a built-in cycle"),
-        (json.dumps({"validate_pairs": [{"name": "x"}]}),
+        ("simulate", json.dumps({"validate_pairs": [{"name": "x"}]}),
          "config key 'validate_pairs' must be null or a list"),
-        (json.dumps({"out_dir": 5}), "config key 'out_dir' must be a directory path"),
+        ("simulate", json.dumps({"out_dir": 5}), "config key 'out_dir' must be a directory path"),
+        # the right type but out of range: the stage that uses the value rejects it
+        ("simulate", json.dumps({"cycles": []}),
+         'config key \'cycles\' must be "builtin" or a list of cycle CSV paths, at least one'),
+        ("fit-simplified", json.dumps({"grid": {"shape": [48, 9, 11]}}),
+         "need at least 10 grid cells per axis, got [48, 9, 11]"),
+        ("fit-simplified", json.dumps({"grid": {"a_range": [2.5, -1.0]}}),
+         "fit grid a range [2.5, -1.0] must have lo < hi"),
+        ("extract", json.dumps({"fuel_map_degree": [-1, 2]}),
+         "map degrees must be nonnegative, got [-1, 2]"),
+        ("extract", json.dumps({"gear_map_degree": [1, -1]}),
+         "map degrees must be nonnegative, got [1, -1]"),
+        ("fit-simplified", json.dumps({"degrees": {"C": -1}}),
+         "simplified-model degrees must be nonnegative"),
+        ("ingest", json.dumps({"smoothing": {"mu": 2.0}}), "smoothing mu must be in [0, 1]"),
+        ("ingest", json.dumps({"smoothing": {"clip_fraction": 0.6}}),
+         "clip fraction must be in [0, 0.5)"),
+        ("ingest", json.dumps({"smoothing": {"max_steps": 0}}),
+         "smoothing max_steps must be at least 1"),
+        ("ingest", json.dumps({"dyno_synthetic": {"sample_rate_hz": 0}}),
+         "dyno sample rate must be positive"),
+        ("ingest", json.dumps({"dyno_synthetic": {"rpm_noise": -1}}),
+         "dyno rpm noise must be nonnegative"),
+        ("ingest", json.dumps({"dyno_synthetic": {"seed": -1}}), "dyno seed must be nonnegative"),
+        ("ingest", json.dumps({"smoothing": {"mu": 2.0},
+                               "dyno_synthetic": {"rpm_noise": 0, "spike_rate": 0}}),
+         "smoothing mu must be in [0, 1]"),
     ], ids=["top-level-typo", "nested-typo", "truncated-json", "not-an-object", "string-dt",
             "int-grid", "short-shape", "fractional-degree", "bool-integer", "bool-number",
             "int-bool", "nan-dt", "int-vehicle", "int-cycles", "int-cycle-path", "unknown-unit",
-            "int-dyno-logs", "unknown-synthetic-cycle", "pair-without-paths", "int-out-dir"])
-    def test_bad_config_exits_1(self, tmp_path, capsys, text, message):
+            "int-dyno-logs", "unknown-synthetic-cycle", "pair-without-paths", "int-out-dir",
+            "empty-cycles", "grid-shape-below-10", "reversed-a-range", "negative-fuel-degree",
+            "negative-gear-degree", "negative-simplified-degree", "mu-above-1",
+            "clip-fraction-above-half", "zero-max-steps", "zero-sample-rate",
+            "negative-rpm-noise", "negative-seed", "mu-above-1-clean-log"])
+    def test_bad_config_exits_1(self, pipeline_out, tmp_path, capsys, stage, text, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(text)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg_file), "--out", str(out)]) == 1
+        if stage != "simulate":
+            # the stage's prerequisites, so that it gets as far as the bad value
+            shutil.copytree(pipeline_out, out)
+        assert main([stage, "--config", str(cfg_file), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg_file}: ") and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert "Traceback" not in err
-        assert not out.exists()
+        if stage == "simulate":
+            # rejected while the config loads, before anything is written
+            assert err.startswith(f"error: {cfg_file}: ")
+            assert not out.exists()
 
     def test_int_accepted_for_float(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

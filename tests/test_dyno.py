@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,16 @@ from vcdfuel.dyno import (
 from vcdfuel.errors import (
     BoundNotReached,
     InsufficientData,
+    InvalidArgument,
     NeverHot,
     NonPositiveSlope,
     SeriesTooShort,
 )
-from vcdfuel.synthetic import cruise_cycle, default_vehicle, make_dyno_log
+from vcdfuel.synthetic import builtin_cycles, cruise_cycle, default_vehicle, make_dyno_log
+from vcdfuel.trace import RADPS_TO_RPM, Trace
+
+TRACE_COLUMNS = ("t", "v", "a", "grade", "gear", "engine_speed", "engine_torque", "pedal",
+                 "fuel", "flags")
 
 
 def make_log(t, v_kph=None, trans_out_rpm=None, water_temp_c=None, **kw):
@@ -261,18 +268,90 @@ class TestProcessLog:
         profile = process_log(synthetic_log, dt=0.1)
         t_start, t_end = hot_engine_window(synthetic_log, 85.0)
         expected_rows = int(np.floor((t_end - t_start) / 0.1 + 1e-9)) + 1
-        assert profile.t.size == expected_rows
+        assert profile.trace.t.size == expected_rows
 
     def test_acceleration_within_bound(self, synthetic_log):
         profile = process_log(synthetic_log, dt=0.1)
-        assert np.max(np.abs(profile.a)) <= 4.0
-        assert np.all(profile.v >= 0)
+        assert np.max(np.abs(profile.trace.a)) <= 4.0
+        assert np.all(profile.trace.v >= 0)
 
     def test_provenance_recorded(self, synthetic_log):
         profile = process_log(synthetic_log, dt=0.1)
         assert profile.provenance["smoothing_steps"] >= 1
         assert profile.provenance["slope_kph_per_rpm"] == pytest.approx(0.0398, rel=0.005)
         assert profile.provenance["hot_window_s"][0] > 0
+
+
+def log_to_trace(log, profile):
+    """Dyno channels interpolated onto the processed profile's grid from the
+    raw log: the reference the trace `process_log` returns must match bit
+    for bit."""
+    t_start, t_end = profile.provenance.get("hot_window_s", [log.t[0], log.t[-1]])
+    uniform = log.window(t_start, t_end)
+    t = profile.trace.t
+    idx = np.clip(np.searchsorted(uniform.t, t - 1e-12), 0, len(uniform) - 1)
+    return Trace(name=log.name, t=t, v=profile.trace.v, a=profile.trace.a,
+                 grade=np.zeros_like(t),
+                 gear=uniform.gear[idx],
+                 engine_speed=np.interp(t, uniform.t, uniform.engine_rpm) / RADPS_TO_RPM,
+                 engine_torque=np.interp(t, uniform.t, uniform.engine_torque_nm),
+                 pedal=np.interp(t, uniform.t, uniform.pedal_pct),
+                 fuel=np.interp(t, uniform.t, uniform.fuel_gps))
+
+
+class TestRigTraceOracle:
+    @pytest.mark.parametrize("warmup", [True, False], ids=["warmup", "hot"])
+    @pytest.mark.parametrize("name", ["cruise", "urban", "aggressive"])
+    def test_bit_identical(self, name, warmup):
+        log = make_dyno_log(builtin_cycles()[name], default_vehicle(), seed=2024, warmup=warmup)
+        if (name, warmup) == ("aggressive", True):
+            # too short to warm up past the 85 C threshold
+            with pytest.raises(NeverHot):
+                process_log(log)
+            return
+        profile = process_log(log)
+        expected = log_to_trace(log, profile)
+        assert profile.trace.name == expected.name
+        for col in TRACE_COLUMNS:
+            a, b = getattr(profile.trace, col), getattr(expected, col)
+            if b is None:
+                assert a is None, col
+                continue
+            assert a.dtype == b.dtype, col
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), col
+
+    def test_without_hot_window(self, synthetic_log):
+        profile = process_log(synthetic_log, hot_threshold=None)
+        assert profile.trace.t[0] == synthetic_log.t[0]
+        expected = log_to_trace(synthetic_log, profile)
+        for col in TRACE_COLUMNS[1:-1]:
+            assert np.array_equal(getattr(profile.trace, col), getattr(expected, col)), col
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mu": 2.0}, "smoothing mu must be in [0, 1]"),
+        ({"clip_fraction": 0.6}, "clip fraction must be in [0, 0.5)"),
+        ({"max_steps": 0}, "smoothing max_steps must be at least 1"),
+    ], ids=["mu", "clip-fraction", "max-steps"])
+    def test_process_log(self, synthetic_log, kwargs, message):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            process_log(synthetic_log, **kwargs)
+
+    def test_mu_checked_when_no_smoothing_is_needed(self):
+        ramp = np.linspace(0.0, 10.0, 50)
+        assert auto_select_smoothing(ramp, 0.1).steps == 0
+        with pytest.raises(InvalidArgument, match=re.escape("smoothing mu must be in [0, 1]")):
+            auto_select_smoothing(ramp, 0.1, mu=2.0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sample_rate_hz": 0.0}, "dyno sample rate must be positive"),
+        ({"rpm_noise": -1.0}, "dyno rpm noise must be nonnegative"),
+        ({"seed": -1}, "dyno seed must be nonnegative"),
+    ], ids=["sample-rate", "rpm-noise", "seed"])
+    def test_make_dyno_log(self, kwargs, message):
+        with pytest.raises(InvalidArgument, match=message):
+            make_dyno_log(cruise_cycle(), default_vehicle(), **kwargs)
 
 
 class TestDynoCsv:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vcdfuel.drive_cycles import DriveCycle
-from vcdfuel.dyno import log_to_trace, process_log
+from vcdfuel.dyno import process_log
 from vcdfuel.errors import (
     DegreeTooHigh,
     InsufficientData,
@@ -27,6 +27,7 @@ from vcdfuel.extraction import (
     run_vcd,
 )
 from vcdfuel.powertrain import STANDSTILL_SPEED, simulate, wheel_force
+from vcdfuel.semi_principled import build_semi_model_from_dataset
 from vcdfuel.synthetic import cruise_cycle, default_vehicle, make_dyno_log, urban_cycle
 
 
@@ -370,7 +371,7 @@ class TestRigTraces:
     @pytest.fixture(scope="class")
     def rig_trace(self, vehicle):
         log = make_dyno_log(cruise_cycle(), vehicle, seed=2024)
-        return log_to_trace(log, process_log(log))
+        return process_log(log).trace
 
     def test_missing_flags_read_as_zeros(self, vehicle, rig_trace):
         assert rig_trace.flags is None
@@ -394,3 +395,48 @@ class TestRigTraces:
         ds = VcdDataset(params=vehicle.params, traces=[rig_trace, bare])
         with pytest.raises(InsufficientData, match="trace 'bare' has no 'fuel' column"):
             extract_fuel_cut_thresholds(ds)
+
+
+class TestExtractionFromRigTraces:
+    """The map-based model built from rig recordings of the three built-in
+    cycles reproduces the constants the VCD campaign extracts. Tolerances
+    were fixed before any tuning."""
+
+    @pytest.fixture(scope="class")
+    def constants(self, vehicle, cycles):
+        traces = [process_log(make_dyno_log(cycle, vehicle, seed=2024, warmup=False)).trace
+                  for cycle in cycles]
+        rig = VcdDataset.from_traces(vehicle.params, traces)
+        vcd = run_vcd(vehicle, cycles, dt=0.1)
+        return tuple(build_semi_model_from_dataset(ds, vehicle.shift_maps).constants
+                     for ds in (rig, vcd))
+
+    def test_idle_constants(self, constants):
+        rig, vcd = constants
+        assert rig.torque_floor == pytest.approx(vcd.torque_floor, abs=1e-9)
+        assert rig.idle_fuel == pytest.approx(vcd.idle_fuel, abs=1e-9)
+
+    def test_fuel_cut_thresholds(self, constants):
+        rig, vcd = constants
+        assert rig.cut_speed == pytest.approx(vcd.cut_speed, abs=0.1)
+        assert rig.cut_force == pytest.approx(vcd.cut_force, abs=40.0)
+
+    def test_downshift_cutoffs(self, constants):
+        rig, vcd = constants
+        assert rig.interpolated_gears == vcd.interpolated_gears
+        assert np.max(np.abs(rig.downshift_cutoffs - vcd.downshift_cutoffs)) <= 0.25
+
+
+class TestFromTraces:
+    def test_events_of_every_trace(self, vehicle, dataset):
+        again = VcdDataset.from_traces(vehicle.params, iter(dataset.traces))
+        assert all(a is b for a, b in zip(again.traces, dataset.traces, strict=True))
+        assert again.events == dataset.events
+        assert {ev.cycle for ev in again.events} == {tr.name for tr in dataset.traces}
+
+    def test_rig_trace_events(self, vehicle):
+        log = make_dyno_log(urban_cycle(), vehicle, seed=2024, warmup=False)
+        trace = process_log(log).trace
+        ds = VcdDataset.from_traces(vehicle.params, [trace])
+        assert len(ds.events) == int(np.count_nonzero(np.diff(trace.gear)))
+        assert all(ev.cycle == "urban_dyno" for ev in ds.events)

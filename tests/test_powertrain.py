@@ -10,9 +10,12 @@ from vcdfuel.errors import GearOutOfRange
 from vcdfuel.powertrain import (
     GRAVITY,
     STANDSTILL_SPEED,
+    ControlParams,
+    invert_driveline,
     launch_torque,
     load_vehicle,
     max_wheel_torque_by_gear,
+    max_wheel_torque_gear,
     road_load,
     save_vehicle,
     select_gear,
@@ -103,6 +106,26 @@ class TestOutputSpeed:
         v = np.array([3.0, 11.0, 27.0])
         assert np.allclose(transmission_output_speed(params, 2 * v),
                            2 * transmission_output_speed(params, v))
+
+
+class TestInvertDriveline:
+    def test_undoes_peak_wheel_torque(self, vehicle):
+        # max_wheel_torque_gear runs the driveline forward from the torque curve
+        p, maps = vehicle.params, vehicle.shift_maps
+        v = np.array([2.0, 8.0, 15.0])
+        for k in range(1, p.n_gears + 1):
+            n = np.maximum(transmission_output_speed(p, v) * p.gear_ratios[k - 1],
+                           p.engine_speed_idle)
+            ok = n <= p.engine_speed_max
+            force = max_wheel_torque_gear(p, maps, v, k) / p.tire_radius
+            assert np.allclose(invert_driveline(p, force, k)[ok],
+                               maps.max_engine_torque(n)[ok], rtol=1e-12)
+
+    def test_gear_array_matches_scalar_gears(self, params):
+        force = np.array([500.0, -200.0, 1500.0])
+        gears = np.array([1, 3, params.n_gears])
+        expected = [invert_driveline(params, f, g) for f, g in zip(force, gears)]
+        assert np.array_equal(invert_driveline(params, force, gears), expected)
 
 
 class TestSelectGear:
@@ -352,6 +375,11 @@ class TestVehicleJson:
         assert np.array_equal(back.fuel_map.fuel, vehicle.fuel_map.fuel)
         assert np.array_equal(back.shift_maps.upshift_speeds, vehicle.shift_maps.upshift_speeds)
         assert back.control == vehicle.control
+
+    @pytest.mark.parametrize("idle_fuel", [0.0, -0.1])
+    def test_idle_fuel_must_be_positive(self, idle_fuel):
+        with pytest.raises(ValueError, match="idle_fuel_gps must be positive"):
+            ControlParams(idle_fuel_gps=idle_fuel)
 
     def test_dict_round_trip_is_stable(self, vehicle):
         doc = vehicle_to_dict(vehicle)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vcdfuel import simplified
+from vcdfuel.errors import InvalidArgument
 from vcdfuel.jsonio import write_json
 from vcdfuel.powertrain import (
     GRAVITY,
@@ -257,11 +260,39 @@ class TestFitGrid:
         with pytest.raises(ValueError):
             FitGrid((0, 30), (-1, 2), (-0.1, 0.1), shape=(48, 9, 11))
 
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["v", "a", "grade"])
+    @pytest.mark.parametrize("flip", [lambda lo, hi: (hi, lo), lambda lo, hi: (lo, lo)],
+                             ids=["reversed", "empty"])
+    def test_range_must_increase(self, axis, flip):
+        ranges = [(0.0, 30.0), (-1.0, 2.5), (-0.12, 0.12)]
+        ranges[axis] = flip(*ranges[axis])
+        with pytest.raises(InvalidArgument, match="must have lo < hi"):
+            FitGrid(*ranges)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(InvalidArgument, match="degrees must be nonnegative"):
+            fit_to_function(lambda v, a, g: eval_simplified(ORACLE, v, a, g),
+                            cut_speed=ORACLE.cut_speed, beta=ORACLE.beta, grid=ORACLE_GRID,
+                            degrees={"C": -1})
+
     def test_midpoint_axes(self):
         grid = FitGrid((0.0, 10.0), (-1.0, 1.0), (-0.1, 0.1), shape=(10, 10, 10))
         v_ax, _, _ = grid.axes()
         assert v_ax[0] == pytest.approx(0.5)
         assert v_ax[-1] == pytest.approx(9.5)
+
+
+class TestPositivityProjection:
+    def test_lifts_only_the_constant_term(self):
+        low = dataclasses.replace(ORACLE, coeff_c=[-2.0, 0.02, 0.001, 1e-5])
+        fixed = simplified._enforce_positivity(low)
+        shift = fixed.diagnostics["positivity_shift"]
+        assert shift > 2.0 and "positivity_shift" not in low.diagnostics
+        assert fixed.coeff_c[0] == -2.0 + shift
+        assert np.array_equal(fixed.coeff_c[1:], low.coeff_c[1:])
+        for name in ("beta", "cut_speed", "coeff_p", "coeff_q", "coeff_z", "cut_boundary",
+                     "v_range", "a_range", "grade_range"):
+            assert np.array_equal(getattr(fixed, name), getattr(low, name)), name
 
 
 class TestSerialization:
