@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__
+from . import __version__, dyno, extraction, simplified, synthetic
 from .drive_cycles import load_cycle
 from .dyno import process_log, read_dyno_csv, write_dyno_csv, write_profile
 from .errors import MissingPrerequisite, ParseError, VcdFuelError
@@ -47,25 +47,33 @@ from .simplified import (
     simplified_to_dict,
 )
 from .synthetic import builtin_cycles, default_vehicle, make_dyno_log
-from .trace import Trace, read_trace_csv, write_trace_csv
+from .trace import DT, Trace, read_trace_csv, write_trace_csv
 from .validation import build_report
 
+# tuning values are the library's constants; "smoothing" and "dyno_synthetic"
+# (but "cycle") are keyword arguments of process_log and make_dyno_log
 DEFAULT_CONFIG = {
     "vehicle": "builtin",
     "cycles": "builtin",
     "unit": "mps",
-    "dt": 0.1,
-    "fuel_map_degree": [2, 2],
-    "gear_map_degree": [1, 1],
-    "min_gear_samples": 50,
-    "degrees": {"C": 3, "P": 2, "Q": 1, "Z": 1},
-    "grid": {"a_range": [-1.0, 2.5], "grade_range": [-0.12, 0.12], "shape": [48, 36, 11]},
-    "smoothing": {"mu": 0.5, "bound": 4.0, "clip_fraction": 0.05,
-                  "max_steps": 200, "hot_threshold": 85.0},
+    "dt": DT,
+    "fuel_map_degree": list(extraction.FUEL_MAP_DEGREE),
+    "gear_map_degree": list(extraction.GEAR_MAP_DEGREE),
+    "min_gear_samples": extraction.MIN_GEAR_SAMPLES,
+    "degrees": dict(simplified.DEFAULT_DEGREES),
+    "grid": {"a_range": list(simplified.FIT_A_RANGE),
+             "grade_range": list(simplified.FIT_GRADE_RANGE),
+             "shape": list(simplified.FIT_SHAPE)},
+    "smoothing": {"mu": dyno.SMOOTHING_MU, "bound": dyno.ACCEL_BOUND,
+                  "clip_fraction": dyno.CLIP_FRACTION, "max_steps": dyno.MAX_SMOOTHING_STEPS,
+                  "hot_threshold": dyno.HOT_THRESHOLD_C},
     "dyno_logs": "synthetic",
-    "dyno_synthetic": {"cycle": "cruise", "seed": 2024, "rpm_noise": 3.0,
-                       "spike_rate": 0.002, "spike_rpm": 2200.0,
-                       "sample_rate_hz": 10.0, "warmup": True},
+    "dyno_synthetic": {"cycle": "cruise", "seed": synthetic.DYNO_SEED,
+                       "rpm_noise": synthetic.DYNO_RPM_NOISE,
+                       "spike_rate": synthetic.DYNO_SPIKE_RATE,
+                       "spike_rpm": synthetic.DYNO_SPIKE_RPM,
+                       "sample_rate_hz": synthetic.DYNO_SAMPLE_RATE_HZ,
+                       "warmup": synthetic.DYNO_WARMUP},
     "validate_pairs": None,
 }
 
@@ -282,9 +290,8 @@ def cmd_fit_simplified(cfg, args, run=None) -> int:
     run = {} if run is None else run
     out = _out_dir(cfg, args)
     semi = _semi(out, run)
-    gc = cfg["grid"]
-    grid = FitGrid(v_range=(0.0, semi.speed_max), a_range=tuple(gc["a_range"]),
-                   grade_range=tuple(gc["grade_range"]), shape=tuple(gc["shape"]))
+    grid = FitGrid(v_range=(0.0, semi.speed_max),
+                   **{key: tuple(val) for key, val in cfg["grid"].items()})
     model = run["simplified"] = fit_simplified(semi, grid, degrees=cfg["degrees"])
     _write_artifact(cfg, out / "simplified_model.json", simplified_to_dict(model))
     diag = model.diagnostics
@@ -300,12 +307,8 @@ def cmd_ingest(cfg, args, run=None) -> int:
     profiles_dir.mkdir(exist_ok=True)
     logs = []
     if cfg["dyno_logs"] == "synthetic":
-        syn = cfg["dyno_synthetic"]
-        cycle = builtin_cycles()[syn["cycle"]]
-        log = make_dyno_log(cycle, _vehicle(cfg, run), seed=syn["seed"],
-                            sample_rate_hz=syn["sample_rate_hz"],
-                            rpm_noise=syn["rpm_noise"], spike_rate=syn["spike_rate"],
-                            spike_rpm=syn["spike_rpm"], warmup=syn["warmup"])
+        syn = dict(cfg["dyno_synthetic"])
+        log = make_dyno_log(builtin_cycles()[syn.pop("cycle")], _vehicle(cfg, run), **syn)
         raw_path = out / "profiles" / f"{log.name}_raw.csv"
         write_dyno_csv(log, raw_path)
         print(f"wrote {raw_path} (synthetic rig recording)")
@@ -316,12 +319,9 @@ def cmd_ingest(cfg, args, run=None) -> int:
             if not path.exists():
                 raise MissingPrerequisite(f"dyno log not found: {path}")
             logs.append(read_dyno_csv(path))
-    sm = cfg["smoothing"]
     rig_traces = run["rig_traces"] = {}
     for log in logs:
-        profile = process_log(log, dt=cfg["dt"], bound=sm["bound"],
-                              clip_fraction=sm["clip_fraction"], mu=sm["mu"],
-                              hot_threshold=sm["hot_threshold"], max_steps=sm["max_steps"])
+        profile = process_log(log, dt=cfg["dt"], **cfg["smoothing"])
         profile.provenance.update(_provenance(cfg))
         trace = rig_traces[log.name] = profile.trace
         csv_path = profiles_dir / f"{log.name}_profile.csv"
@@ -380,10 +380,10 @@ def cmd_validate(cfg, args, run=None) -> int:
             pairs.append((f"{name}_closure", semi_tr, simp_tr))
         # ingested rig recordings are compared the same way: both models
         # replay the processed (t, v, a) profile
-        for dyno in _rig_traces(out, run):
-            semi_tr, simp_tr = _model_traces_for(semi, simp, dyno, dyno.name)
-            pairs.append((f"{dyno.name}_semi", dyno, semi_tr))
-            pairs.append((f"{dyno.name}_simplified", dyno, simp_tr))
+        for rig in _rig_traces(out, run):
+            semi_tr, simp_tr = _model_traces_for(semi, simp, rig, rig.name)
+            pairs.append((f"{rig.name}_semi", rig, semi_tr))
+            pairs.append((f"{rig.name}_simplified", rig, simp_tr))
     report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir, plots=args.plots)
     _write_artifact(cfg, reports_dir / "report.json", report.to_dict())
     table = report.format_table()

@@ -28,13 +28,14 @@ from .errors import (
     SmoothingDiverged,
 )
 from .extraction import percentile
-from .trace import RADPS_TO_RPM, Trace
+from .trace import DT, RADPS_TO_RPM, Trace
 
 KPH_TO_MPS = 1.0 / 3.6
 
 ACCEL_BOUND = 4.0          # m/s2, acceptable acceleration magnitude
 CLIP_FRACTION = 0.05       # winsorize tails of the acceleration distribution
 SMOOTHING_MU = 0.5
+MAX_SMOOTHING_STEPS = 200  # passes tried before BoundNotReached
 CONVERGENCE_EPS = 1e-3     # m/s2, improvement below this counts as converged
 HOT_THRESHOLD_C = 85.0
 
@@ -103,11 +104,11 @@ def write_dyno_csv(log: DynoLog, path) -> None:
 
 # --- speed reconstruction ----------------------------------------------------
 
-def fit_speed_regression(log: DynoLog, min_rows: int = 100) -> float:
+def fit_speed_regression(log: DynoLog) -> float:
     """Through-origin slope of raw speed [km/h] on output shaft speed [rpm]."""
     mask = log.v_kph > 0
-    if mask.sum() < min_rows:
-        raise InsufficientData(f"only {int(mask.sum())} moving rows, need {min_rows}")
+    if mask.sum() < 100:
+        raise InsufficientData(f"only {int(mask.sum())} moving rows, need 100")
     n = log.trans_out_rpm[mask]
     v = log.v_kph[mask]
     denom = float(np.dot(n, n))
@@ -181,7 +182,8 @@ class SmoothingSelection:
 
 
 def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
-                          max_steps: int = 200, mu: float = SMOOTHING_MU) -> SmoothingSelection:
+                          max_steps: int = MAX_SMOOTHING_STEPS,
+                          mu: float = SMOOTHING_MU) -> SmoothingSelection:
     """Smallest smoothing step count bringing peak |acceleration| in bound.
 
     Step counts are tried in order; the first one whose derived
@@ -193,6 +195,8 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
     """
     if max_steps < 1:
         raise InvalidArgument("smoothing max_steps must be at least 1")
+    if not bound > 0:
+        raise InvalidArgument(f"smoothing bound must be positive, got {bound} m/s2")
     _check_mu(mu)  # also when the raw series already fits the bound
     smoothed = np.asarray(series, dtype=float).copy()
     if smoothed.size < 3:
@@ -240,10 +244,10 @@ class ProcessedProfile:
     provenance: dict = field(default_factory=dict)
 
 
-def process_log(log: DynoLog, dt: float = 0.1, bound: float = ACCEL_BOUND,
+def process_log(log: DynoLog, dt: float = DT, bound: float = ACCEL_BOUND,
                 clip_fraction: float = CLIP_FRACTION, mu: float = SMOOTHING_MU,
                 hot_threshold: float | None = HOT_THRESHOLD_C,
-                max_steps: int = 200) -> ProcessedProfile:
+                max_steps: int = MAX_SMOOTHING_STEPS) -> ProcessedProfile:
     """Window, resample, regress, smooth, differentiate, winsorize.
 
     The trace holds the rebuilt (t, v, a) on flat grade and the other rig

@@ -36,7 +36,7 @@ from .powertrain import (
     transmission_output_speed,
     wheel_force,
 )
-from .trace import FLAG_ENVELOPE, Trace
+from .trace import DT, FLAG_ENVELOPE, Trace
 
 # torque change rate below which a step counts as settled idle, evaluated
 # over the +-1 s neighborhood
@@ -45,6 +45,13 @@ IDLE_WINDOW = 1.0        # s
 
 CUT_SPEED_PERCENTILE = 1.0
 CUT_FORCE_PERCENTILE = 95.0
+LAUNCH_ACCEL_RANGE = (-3.0, 3.0)  # m/s2, binned by the first-gear torque correction
+LAUNCH_BINS = 8
+
+FUEL_MAP_DEGREE = (2, 2)  # (engine speed, torque)
+GEAR_MAP_DEGREE = (1, 1)  # (output speed, wheel force)
+MAX_MAP_DEGREE = 4        # cap on a map's total degree
+MIN_GEAR_SAMPLES = 50     # rows each gear's maps need
 
 
 def percentile(values, q: float) -> float:
@@ -113,7 +120,7 @@ def detect_shift_events(trace: Trace) -> list[ShiftEvent]:
     return events
 
 
-def run_vcd(vehicle: ReferenceVehicle, cycles: list[DriveCycle], dt: float = 0.1) -> VcdDataset:
+def run_vcd(vehicle: ReferenceVehicle, cycles: list[DriveCycle], dt: float = DT) -> VcdDataset:
     """Simulate every cycle on flat grade and collect traces + shift events."""
     if not cycles:
         raise InvalidArgument("need at least one cycle")
@@ -137,11 +144,11 @@ class ExtractedConstants:
         object.__setattr__(self, "downshift_cutoffs",
                            np.asarray(self.downshift_cutoffs, dtype=float))
         if self.idle_fuel <= 0:
-            raise ValueError("idle fuel must be positive")
+            raise InvalidArgument(f"idle fuel must be positive, got {self.idle_fuel} g/s")
         if self.cut_speed <= 0:
-            raise ValueError("cut speed must be positive")
+            raise InvalidArgument(f"cut speed must be positive, got {self.cut_speed} m/s")
         if np.any(np.diff(self.downshift_cutoffs) <= 0):
-            raise ValueError("downshift cutoffs must increase with gear")
+            raise InvalidArgument("downshift cutoffs must increase with gear")
 
 
 def _settled_mask(t: np.ndarray, torque: np.ndarray) -> np.ndarray:
@@ -218,9 +225,8 @@ def extract_downshift_map(ds: VcdDataset) -> tuple[np.ndarray, tuple]:
     return cutoffs, filled
 
 
-def extract_torque_correction(ds: VcdDataset, predict_torque, n_bins: int = 8,
-                              accel_range: tuple[float, float] = (-3.0, 3.0)) -> tuple:
-    """First-gear torque correction binned over acceleration.
+def extract_torque_correction(ds: VcdDataset, predict_torque) -> tuple:
+    """First-gear torque correction in LAUNCH_BINS bins over LAUNCH_ACCEL_RANGE.
 
     predict_torque(v, a, grade) must return the draft model's engine torque
     for first-gear operation. Standstill steps are skipped (their torque is
@@ -237,11 +243,11 @@ def extract_torque_correction(ds: VcdDataset, predict_torque, n_bins: int = 8,
         raise NoFirstGearData("no moving first-gear steps in the dataset")
     residual = cols["engine_torque"][mask] - np.asarray(predict_torque(v, a, grade), dtype=float)
 
-    edges = np.linspace(accel_range[0], accel_range[1], n_bins + 1)
+    edges = np.linspace(*LAUNCH_ACCEL_RANGE, LAUNCH_BINS + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     knots = []
-    for b in range(n_bins):
-        hi = a <= edges[b + 1] if b == n_bins - 1 else a < edges[b + 1]
+    for b in range(LAUNCH_BINS):
+        hi = a <= edges[b + 1] if b == LAUNCH_BINS - 1 else a < edges[b + 1]
         in_bin = (a >= edges[b]) & hi
         if np.any(in_bin):
             knots.append((float(centers[b]), float(residual[in_bin].mean())))
@@ -327,21 +333,20 @@ def _shift_scale_matrix(deg: int, mean: float, std: float) -> np.ndarray:
     return m
 
 
-def fit_poly2d(xs, ys, zs, degree: tuple[int, int], degree_cap: int = 4,
-               domain=None) -> PolyMap2D:
+def fit_poly2d(xs, ys, zs, degree: tuple[int, int], domain=None) -> PolyMap2D:
     """Ordinary least squares on the tensor monomial basis.
 
     The map's validity box defaults to the bounding box of the fitted
     samples; pass ``domain`` to widen it (e.g. when some rows are kept out
     of the regression but still describe reachable inputs). Raises
-    DegreeTooHigh when d1 + d2 exceeds the cap and RankDeficient when the
+    DegreeTooHigh when d1 + d2 exceeds MAX_MAP_DEGREE and RankDeficient when the
     sample geometry cannot determine all coefficients.
     """
     d1, d2 = degree
     if d1 < 0 or d2 < 0:
         raise InvalidArgument(f"map degrees must be nonnegative, got {list(degree)}")
-    if d1 + d2 > degree_cap:
-        raise DegreeTooHigh(f"total degree {d1 + d2} exceeds cap {degree_cap}")
+    if d1 + d2 > MAX_MAP_DEGREE:
+        raise DegreeTooHigh(f"total degree {d1 + d2} exceeds cap {MAX_MAP_DEGREE}")
     x = np.asarray(xs, dtype=float).ravel()
     y = np.asarray(ys, dtype=float).ravel()
     z = np.asarray(zs, dtype=float).ravel()
@@ -380,8 +385,8 @@ class FittedMaps:
     torque_maps: list[PolyMap2D]        # per gear, (output speed, wheel force) -> Nm
 
 
-def fit_all_maps(ds: VcdDataset, fuel_degree=(2, 2), gear_degree=(1, 1),
-                 min_gear_samples: int = 50, min_torque: float | None = None,
+def fit_all_maps(ds: VcdDataset, fuel_degree=FUEL_MAP_DEGREE, gear_degree=GEAR_MAP_DEGREE,
+                 min_gear_samples: int = MIN_GEAR_SAMPLES, min_torque: float | None = None,
                  launch_correction=()) -> FittedMaps:
     """Fit the fuel surface and the per-gear driveline maps.
 
@@ -393,6 +398,8 @@ def fit_all_maps(ds: VcdDataset, fuel_degree=(2, 2), gear_degree=(1, 1),
     after map evaluation. A nonempty ``launch_correction`` is subtracted
     from first-gear torque targets so the fitted map composes with it.
     """
+    if min_gear_samples < 1:
+        raise InvalidArgument(f"min_gear_samples must be at least 1, got {min_gear_samples}")
     cols = ds.stacked()
     idle = cols["v"] < STANDSTILL_SPEED
     cut = (cols["fuel"] == 0.0) & ~idle

@@ -22,9 +22,10 @@ import numpy as np
 from .drive_cycles import DriveCycle, resample
 from .errors import GearOutOfRange
 from .jsonio import read_json, write_json
-from .trace import FLAG_ENVELOPE, Trace
+from .trace import DT, FLAG_ENVELOPE, Trace
 
 GRAVITY = 9.81  # m/s2
+FUEL_LHV = 43500.0  # J/g, lower heating value of the fuel
 
 # below this speed the vehicle is treated as stationary (open torque
 # converter, engine idling)
@@ -96,11 +97,10 @@ class EngineFuelMap:
 
     @classmethod
     def from_affine_power(cls, speed_grid, torque_grid, power_gain: float,
-                          friction_torque: float, accessory_power: float,
-                          lhv: float = 43500.0, floor_gps: float = 0.08) -> "EngineFuelMap":
+                          friction_torque: float, accessory_power: float) -> "EngineFuelMap":
         """Tabulate a Willans-line style map.
 
-        fuel = max(floor, (power_gain*N*T + friction_torque*N + accessory_power) / lhv)
+        fuel = max(0.08, (power_gain*N*T + friction_torque*N + accessory_power) / FUEL_LHV)
 
         The positive floor models closed-throttle injection: the tabulated
         map never reaches zero, so zero fuel in a trace always means an
@@ -108,8 +108,8 @@ class EngineFuelMap:
         """
         n = np.asarray(speed_grid, dtype=float)[:, None]
         tq = np.asarray(torque_grid, dtype=float)[None, :]
-        raw = (power_gain * n * tq + friction_torque * n + accessory_power) / lhv
-        return cls(speed_grid, torque_grid, np.maximum(raw, floor_gps))
+        raw = (power_gain * n * tq + friction_torque * n + accessory_power) / FUEL_LHV
+        return cls(speed_grid, torque_grid, np.maximum(raw, 0.08))
 
     def interpolate(self, speed, torque):
         """Bilinear interpolation; inputs clamped to the grid box."""
@@ -296,7 +296,7 @@ def max_wheel_torque_by_gear(params: VehicleParams, maps: GearShiftMaps, v):
 
 # --- simulation --------------------------------------------------------------
 
-def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float = 0.1) -> Trace:
+def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float = DT) -> Trace:
     """Run the vehicle over a cycle and return the full trace.
 
     grade is either a constant [rad] or a callable t -> rad. The cycle is

@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drive_cycles import DriveCycle
+from .errors import InvalidArgument
 from .extraction import (
+    FUEL_MAP_DEGREE,
+    GEAR_MAP_DEGREE,
+    MIN_GEAR_SAMPLES,
     ExtractedConstants,
     PolyMap2D,
     VcdDataset,
@@ -45,7 +49,7 @@ from .powertrain import (
     transmission_output_speed,
     wheel_force,
 )
-from .trace import FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
+from .trace import DT, FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
 
 ACCEL_LIMITS = (-5.0, 5.0)    # m/s2, defined evaluation domain
 GRADE_LIMITS = (-0.15, 0.15)  # rad
@@ -67,7 +71,7 @@ class SemiPrincipledModel:
     def __post_init__(self):
         n = self.params.n_gears
         if len(self.engine_speed_maps) != n or len(self.torque_maps) != n:
-            raise ValueError("need one engine-speed and one torque map per gear")
+            raise InvalidArgument("need one engine-speed and one torque map per gear")
 
 
 def select_gear_stateless(model: SemiPrincipledModel, v, pedal):
@@ -205,9 +209,9 @@ def eval_semi_trace(model: SemiPrincipledModel, t, v, a, grade=0.0, name: str = 
 
 # --- assembly ----------------------------------------------------------------
 
-def build_semi_model(vehicle: ReferenceVehicle, cycles: list[DriveCycle], dt: float = 0.1,
-                     fuel_degree=(2, 2), gear_degree=(1, 1),
-                     min_gear_samples: int = 50) -> SemiPrincipledModel:
+def build_semi_model(vehicle: ReferenceVehicle, cycles: list[DriveCycle], dt: float = DT,
+                     fuel_degree=FUEL_MAP_DEGREE, gear_degree=GEAR_MAP_DEGREE,
+                     min_gear_samples: int = MIN_GEAR_SAMPLES) -> SemiPrincipledModel:
     """Full extraction pipeline: campaign, constants, correction, maps.
 
     The first-gear torque correction is identified against the principled
@@ -219,14 +223,13 @@ def build_semi_model(vehicle: ReferenceVehicle, cycles: list[DriveCycle], dt: fl
     ds = run_vcd(vehicle, cycles, dt=dt)
     return build_semi_model_from_dataset(ds, vehicle.shift_maps, fuel_degree=fuel_degree,
                                          gear_degree=gear_degree,
-                                         min_gear_samples=min_gear_samples,
-                                         source_cycles=[c.name for c in cycles], dt=dt)
+                                         min_gear_samples=min_gear_samples, dt=dt)
 
 
 def build_semi_model_from_dataset(ds: VcdDataset, shift_maps: GearShiftMaps,
-                                  fuel_degree=(2, 2), gear_degree=(1, 1),
-                                  min_gear_samples: int = 50,
-                                  source_cycles=None, dt: float | None = None) -> SemiPrincipledModel:
+                                  fuel_degree=FUEL_MAP_DEGREE, gear_degree=GEAR_MAP_DEGREE,
+                                  min_gear_samples: int = MIN_GEAR_SAMPLES,
+                                  dt: float | None = None) -> SemiPrincipledModel:
     p = ds.params
 
     torque_floor, idle_fuel = extract_idle_constants(ds)
@@ -246,7 +249,7 @@ def build_semi_model_from_dataset(ds: VcdDataset, shift_maps: GearShiftMaps,
                         launch_correction=correction)
     speed_max = float(max(tr.v.max() for tr in ds.traces))
     metadata = {
-        "source_cycles": source_cycles or [tr.name for tr in ds.traces],
+        "source_cycles": [tr.name for tr in ds.traces],
         "dt": dt,
         "fuel_map_rms": maps.fuel_map.rms_residual,
         "engine_speed_map_rms": [m.rms_residual for m in maps.engine_speed_maps],

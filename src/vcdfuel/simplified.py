@@ -26,6 +26,10 @@ from .trace import FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
 
 DEFAULT_DEGREES = {"C": 3, "P": 2, "Q": 1, "Z": 1}
 POSITIVITY_MARGIN = 1e-3  # g/s kept above zero after projection
+FIT_A_RANGE = (-1.0, 2.5)        # m/s2, default fit box (see default_grid)
+FIT_GRADE_RANGE = (-0.12, 0.12)  # rad
+FIT_SHAPE = (48, 36, 11)         # grid cells per (speed, acceleration, grade) axis
+EXTRAPOLATION_MARGIN = 0.25      # share of a map box's span, see fit_simplified
 
 # term exponents (i, j) of the cut-boundary polynomial sum c_ij v**i th**j,
 # total degree <= 2
@@ -39,7 +43,7 @@ class FitGrid:
     v_range: tuple[float, float]
     a_range: tuple[float, float]
     grade_range: tuple[float, float]
-    shape: tuple[int, int, int] = (48, 36, 11)
+    shape: tuple[int, int, int] = FIT_SHAPE
 
     def __post_init__(self):
         if min(self.shape) < 10:
@@ -65,8 +69,8 @@ def default_grid(semi: SemiPrincipledModel) -> FitGrid:
     """Default fit box: full speed range, acceleration over the responsive
     band (below it the cut region rules, above it the torque envelope pins
     the output), grades within the map-based model's domain."""
-    return FitGrid(v_range=(0.0, semi.speed_max), a_range=(-1.0, 2.5),
-                   grade_range=(-0.12, 0.12))
+    return FitGrid(v_range=(0.0, semi.speed_max), a_range=FIT_A_RANGE,
+                   grade_range=FIT_GRADE_RANGE)
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class SimplifiedModel:
         for name in ("coeff_c", "coeff_p", "coeff_q", "coeff_z", "cut_boundary"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.beta <= 0 or self.cut_speed <= 0:
-            raise ValueError("beta and cut_speed must be positive")
+            raise InvalidArgument("beta and cut_speed must be positive")
 
     def cut_accel(self, v, grade=0.0):
         """Boundary acceleration below which fuel is cut (for v above cut_speed)."""
@@ -156,15 +160,14 @@ def eval_simplified_trace(model: SimplifiedModel, t, v, a, grade=0.0,
 # --- fitting -----------------------------------------------------------------
 
 def fit_simplified(semi: SemiPrincipledModel, grid: FitGrid | None = None,
-                   degrees: dict | None = None,
-                   extrapolation_margin: float = 0.25) -> SimplifiedModel:
+                   degrees: dict | None = None) -> SimplifiedModel:
     """Reduce a map-based model to the closed polynomial form.
 
     The polynomial is fit over the region where the map-based model
     actually responds to its inputs. Cells where its output is pinned by a
     clamp carry no signal about the fuel surface and are left out: the
     torque floor and the engine envelope produce flat shelves, and inputs
-    beyond the fitted map boxes by more than ``extrapolation_margin`` of
+    beyond the fitted map boxes by more than ``EXTRAPOLATION_MARGIN`` of
     their span sit on extrapolation plateaus. Letting those shelves into
     the least squares would drag the polynomial away from the band the
     model is used in; the lower bound and the cut rule cover them at
@@ -175,7 +178,7 @@ def fit_simplified(semi: SemiPrincipledModel, grid: FitGrid | None = None,
     def fuel_fn(v, a, grade):
         out = evaluate(semi, v, a, grade)
         pinned = (out["flags"] & (FLAG_ENVELOPE | FLAG_FLOOR)) != 0
-        usable = ~pinned & (domain_excess(semi, v, out) <= extrapolation_margin)
+        usable = ~pinned & (domain_excess(semi, v, out) <= EXTRAPOLATION_MARGIN)
         return np.ma.masked_array(out["fuel"], mask=~usable)
 
     return fit_to_function(fuel_fn, cut_speed=semi.constants.cut_speed,
@@ -311,10 +314,10 @@ def _fit_cut_boundary(v_ax, a_ax, g_ax, cut_cells, cut_speed) -> np.ndarray:
     return coeffs
 
 
-def _enforce_positivity(model: SimplifiedModel, n_check: int = 512) -> SimplifiedModel:
+def _enforce_positivity(model: SimplifiedModel) -> SimplifiedModel:
     """Raise C's constant term until f_p stays positive along the lower
-    operating edge at zero grade."""
-    v = np.linspace(model.v_range[0], model.v_range[1], n_check)
+    operating edge at zero grade, checked at 512 speeds."""
+    v = np.linspace(model.v_range[0], model.v_range[1], 512)
     worst = float(np.min(model.positive_part(v, model.min_accel(v), 0.0)))
     if worst > 0:
         return model

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .drive_cycles import DriveCycle
-from .dyno import DynoLog
+from .dyno import HOT_THRESHOLD_C, DynoLog
 from .errors import InvalidArgument
 from .powertrain import (
     ControlParams,
@@ -27,8 +27,16 @@ from .powertrain import (
 )
 from .trace import RADPS_TO_RPM
 
-# default regression slope of the synthetic rig's speed channel, km/h per rpm
+# regression slope of the synthetic rig's speed channel, km/h per rpm
 DYNO_SLOPE_KPH_PER_RPM = 0.0398
+DYNO_SEED = 2024
+DYNO_SAMPLE_RATE_HZ = 10.0
+DYNO_RPM_NOISE = 3.0      # rpm, Gaussian jitter of the output shaft channel
+DYNO_SPIKE_RATE = 0.002   # share of samples hit by a glitch spike
+DYNO_SPIKE_RPM = 2200.0   # rpm, typical glitch magnitude
+DYNO_WARMUP = True
+# water temperature: start and settled value, and when it crosses the hot threshold [s]
+COLD_TEMP_C, HOT_TEMP_C, HOT_CROSS_S = 20.0, 92.0, 200.0
 
 
 def default_vehicle() -> ReferenceVehicle:
@@ -120,13 +128,10 @@ def builtin_cycles() -> dict[str, DriveCycle]:
     return {c.name: c for c in (cruise_cycle(), urban_cycle(), aggressive_cycle())}
 
 
-def make_dyno_log(cycle: DriveCycle, vehicle: ReferenceVehicle, seed: int = 2024,
-                  sample_rate_hz: float = 10.0, rpm_noise: float = 3.0,
-                  spike_rate: float = 0.002, spike_rpm: float = 2200.0,
-                  slope: float = DYNO_SLOPE_KPH_PER_RPM, warmup: bool = True,
-                  cold_temp_c: float = 20.0, hot_temp_c: float = 92.0,
-                  hot_cross_s: float = 200.0,
-                  hot_threshold_c: float = 85.0) -> DynoLog:
+def make_dyno_log(cycle: DriveCycle, vehicle: ReferenceVehicle, seed: int = DYNO_SEED,
+                  sample_rate_hz: float = DYNO_SAMPLE_RATE_HZ,
+                  rpm_noise: float = DYNO_RPM_NOISE, spike_rate: float = DYNO_SPIKE_RATE,
+                  spike_rpm: float = DYNO_SPIKE_RPM, warmup: bool = DYNO_WARMUP) -> DynoLog:
     """Synthetic rig recording of the reference vehicle driving a cycle.
 
     The speed channel is quantized to 1 km/h; the output shaft channel is
@@ -135,7 +140,7 @@ def make_dyno_log(cycle: DriveCycle, vehicle: ReferenceVehicle, seed: int = 2024
     jitter everywhere plus occasional dropout/glitch spikes of roughly
     ``spike_rpm`` magnitude, which is what makes the naively differentiated
     speed exceed 100 m/s2. Water temperature follows a first-order warm-up
-    crossing the hot threshold near ``hot_cross_s``.
+    crossing the hot threshold near ``HOT_CROSS_S``.
     """
     if not sample_rate_hz > 0:
         raise InvalidArgument(f"dyno sample rate must be positive, got {sample_rate_hz} Hz")
@@ -143,18 +148,20 @@ def make_dyno_log(cycle: DriveCycle, vehicle: ReferenceVehicle, seed: int = 2024
         raise InvalidArgument(f"dyno rpm noise must be nonnegative, got {rpm_noise} rpm")
     if seed < 0:
         raise InvalidArgument(f"dyno seed must be nonnegative, got {seed}")
+    if not 0.0 <= spike_rate <= 1.0:
+        raise InvalidArgument(f"dyno spike rate must be in [0, 1], got {spike_rate}")
     rng = np.random.default_rng(seed)
     trace = simulate(cycle, vehicle, grade=0.0, dt=1.0 / sample_rate_hz)
     v_kph = trace.v * 3.6
-    shaft_rpm = v_kph / slope + rng.normal(0.0, rpm_noise, size=trace.t.size)
+    shaft_rpm = v_kph / DYNO_SLOPE_KPH_PER_RPM + rng.normal(0.0, rpm_noise, size=trace.t.size)
     spikes = rng.random(trace.t.size) < spike_rate
     shaft_rpm[spikes] += (rng.choice([-1.0, 1.0], size=int(spikes.sum()))
                           * spike_rpm * rng.uniform(0.8, 1.2, size=int(spikes.sum())))
     if warmup:
-        tau = hot_cross_s / np.log((hot_temp_c - cold_temp_c) / (hot_temp_c - hot_threshold_c))
-        temp = hot_temp_c - (hot_temp_c - cold_temp_c) * np.exp(-trace.t / tau)
+        tau = HOT_CROSS_S / np.log((HOT_TEMP_C - COLD_TEMP_C) / (HOT_TEMP_C - HOT_THRESHOLD_C))
+        temp = HOT_TEMP_C - (HOT_TEMP_C - COLD_TEMP_C) * np.exp(-trace.t / tau)
     else:
-        temp = np.full(trace.t.size, hot_temp_c)
+        temp = np.full(trace.t.size, HOT_TEMP_C)
     return DynoLog(
         name=f"{cycle.name}_dyno",
         t=trace.t,

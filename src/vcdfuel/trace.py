@@ -19,6 +19,8 @@ from .errors import MonotonicityError, ParseError
 
 RADPS_TO_RPM = 60.0 / (2.0 * np.pi)
 
+DT = 0.1  # s, default step of the simulation, resampling and metric grids
+
 # flag bits set per step by producers
 FLAG_ENVELOPE = 1    # demanded torque clamped to the engine envelope
 FLAG_CLAMPED = 2     # model input clamped to its fitted/defined domain

@@ -18,7 +18,7 @@ import numpy as np
 from .csvio import write_columns
 from .errors import LengthMismatch, NoOverlap, ZeroReference
 from .jsonio import read_json
-from .trace import RADPS_TO_RPM, Trace
+from .trace import DT, RADPS_TO_RPM, Trace
 
 
 @dataclass
@@ -44,7 +44,7 @@ def _interp_columns(trace: Trace, grid: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def align(ref: Trace, model: Trace, dt: float = 0.1) -> AlignedPair:
+def align(ref: Trace, model: Trace, dt: float = DT) -> AlignedPair:
     """Interpolate both traces onto the uniform grid covering their overlap."""
     t0 = max(ref.t[0], model.t[0])
     t1 = min(ref.t[-1], model.t[-1])
@@ -150,7 +150,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def compare_pair(cycle: str, ref: Trace, model: Trace, dt: float = 0.1) -> PairMetrics:
+def compare_pair(cycle: str, ref: Trace, model: Trace, dt: float = DT) -> PairMetrics:
     return _pair_metrics(cycle, ref, model, align(ref, model, dt), dt)
 
 
@@ -193,7 +193,7 @@ def write_comparison_csv(pair: AlignedPair, path) -> None:
     write_columns(path, cols, "%.10g")
 
 
-def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = 0.1,
+def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = DT,
                  out_dir=None, plots: bool = False) -> ValidationReport:
     """Metrics for every (cycle, reference, model) pair.
 
@@ -215,15 +215,15 @@ def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = 0.1,
     return ValidationReport(records=records)
 
 
-def _write_svg_panel(pair, path, width=900, height=260) -> None:
+def _write_svg_panel(pair, path) -> None:
     """Minimal static line chart: reference vs model fuel rate."""
+    width, height, margin = 900, 260, 30
     t = pair.t
     series = [("#1f77b4", pair.ref["fuel"]), ("#d62728", pair.model["fuel"])]
     top = max(1e-9, max(float(np.max(s)) for _, s in series))
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
              f'viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
-    margin = 30
     for color, values in series:
         pts = []
         for i in range(t.size):

@@ -1,14 +1,27 @@
 import hashlib
+import inspect
 import json
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
 from vcdfuel import cli, validation
-from vcdfuel.cli import load_config, main
+from vcdfuel.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from vcdfuel.drive_cycles import save_cycle
-from vcdfuel.dyno import DYNO_COLUMNS, write_dyno_csv
-from vcdfuel.powertrain import STANDSTILL_SPEED, vehicle_to_dict
+from vcdfuel.dyno import (
+    DYNO_COLUMNS,
+    auto_select_smoothing,
+    clip_outliers,
+    hot_engine_window,
+    process_log,
+    smooth_speed,
+    write_dyno_csv,
+)
+from vcdfuel.extraction import fit_all_maps, run_vcd
+from vcdfuel.powertrain import STANDSTILL_SPEED, simulate, vehicle_to_dict
+from vcdfuel.semi_principled import build_semi_model, build_semi_model_from_dataset
+from vcdfuel.simplified import DEFAULT_DEGREES, FitGrid, default_grid
 from vcdfuel.synthetic import (
     builtin_cycles,
     cruise_cycle,
@@ -17,7 +30,7 @@ from vcdfuel.synthetic import (
     urban_cycle,
 )
 from vcdfuel.trace import read_trace_csv, write_trace_csv
-from vcdfuel.validation import build_report
+from vcdfuel.validation import align, build_report, compare_pair
 
 
 def sha256(path):
@@ -191,6 +204,18 @@ class TestBadInputsExit1:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot place the downshift cutoff of gear(s) [6]")
         assert "Traceback" not in err
+        assert not (out / "semi_model.json").exists()
+
+    def test_reference_traces_without_idle_fuel(self, pipeline_out, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out / "traces", out / "traces")
+        for path in (out / "traces").glob("*_reference.csv"):
+            trace = read_trace_csv(path)
+            trace.fuel[trace.v < STANDSTILL_SPEED] = 0.0
+            write_trace_csv(trace, path)
+        assert main(["extract", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: idle fuel must be positive, got 0.0 g/s\n"
         assert not (out / "semi_model.json").exists()
 
     def test_two_cycles_with_one_name(self, tmp_path, capsys):
@@ -391,6 +416,12 @@ class TestConfig:
         ("ingest", json.dumps({"smoothing": {"mu": 2.0},
                                "dyno_synthetic": {"rpm_noise": 0, "spike_rate": 0}}),
          "smoothing mu must be in [0, 1]"),
+        ("ingest", json.dumps({"smoothing": {"bound": -1}}),
+         "smoothing bound must be positive, got -1 m/s2"),
+        ("ingest", json.dumps({"dyno_synthetic": {"spike_rate": 2.0}}),
+         "dyno spike rate must be in [0, 1], got 2.0"),
+        ("extract", json.dumps({"min_gear_samples": -5}),
+         "min_gear_samples must be at least 1, got -5"),
     ], ids=["top-level-typo", "nested-typo", "truncated-json", "not-an-object", "string-dt",
             "int-grid", "short-shape", "fractional-degree", "bool-integer", "bool-number",
             "int-bool", "nan-dt", "int-vehicle", "int-cycles", "int-cycle-path", "unknown-unit",
@@ -398,7 +429,8 @@ class TestConfig:
             "empty-cycles", "grid-shape-below-10", "reversed-a-range", "negative-fuel-degree",
             "negative-gear-degree", "negative-simplified-degree", "mu-above-1",
             "clip-fraction-above-half", "zero-max-steps", "zero-sample-rate",
-            "negative-rpm-noise", "negative-seed", "mu-above-1-clean-log"])
+            "negative-rpm-noise", "negative-seed", "mu-above-1-clean-log", "negative-bound",
+            "spike-rate-above-1", "negative-min-gear-samples"])
     def test_bad_config_exits_1(self, pipeline_out, tmp_path, capsys, stage, text, message):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(text)
@@ -426,6 +458,56 @@ class TestConfig:
         cfg_file.write_text(json.dumps({"out_dir": str(tmp_path / "from_config")}))
         assert main(["simulate", "--config", str(cfg_file)]) == 0
         assert (tmp_path / "from_config" / "traces" / "cruise_reference.csv").exists()
+
+
+def defaults(fn) -> dict:
+    """Keyword defaults of a library function, by parameter name."""
+    return {name: param.default for name, param in inspect.signature(fn).parameters.items()
+            if param.default is not param.empty}
+
+
+class TestDefaultsDecidedOnce:
+    """Each tuning value is one library constant that both the signature
+    defaults and DEFAULT_CONFIG read, so a library call with default
+    arguments fits the same model as a ``vcdfuel`` run."""
+
+    def test_default_config_hash_unchanged(self):
+        assert config_hash(load_config()) == "01a46a0f4bf59983"
+
+    @pytest.mark.parametrize("fn", [simulate, run_vcd, build_semi_model, process_log, align,
+                                    compare_pair, build_report], ids=lambda fn: fn.__name__)
+    def test_dt(self, fn):
+        assert defaults(fn)["dt"] == DEFAULT_CONFIG["dt"]
+
+    @pytest.mark.parametrize("fn", [fit_all_maps, build_semi_model, build_semi_model_from_dataset],
+                             ids=lambda fn: fn.__name__)
+    def test_map_degrees_and_min_gear_samples(self, fn):
+        found = defaults(fn)
+        assert list(found["fuel_degree"]) == DEFAULT_CONFIG["fuel_map_degree"]
+        assert list(found["gear_degree"]) == DEFAULT_CONFIG["gear_map_degree"]
+        assert found["min_gear_samples"] == DEFAULT_CONFIG["min_gear_samples"]
+
+    def test_smoothing(self):
+        smoothing = DEFAULT_CONFIG["smoothing"]
+        assert {key: defaults(process_log)[key] for key in smoothing} == smoothing
+        assert {key: defaults(auto_select_smoothing)[key] for key in ("mu", "bound", "max_steps")} \
+            == {key: smoothing[key] for key in ("mu", "bound", "max_steps")}
+        assert defaults(smooth_speed)["mu"] == smoothing["mu"]
+        assert defaults(clip_outliers)["fraction"] == smoothing["clip_fraction"]
+        assert defaults(hot_engine_window)["threshold"] == smoothing["hot_threshold"]
+
+    def test_dyno_synthetic(self):
+        synthetic = {key: val for key, val in DEFAULT_CONFIG["dyno_synthetic"].items()
+                     if key != "cycle"}
+        assert defaults(make_dyno_log) == synthetic
+
+    def test_simplified_degrees_and_grid(self):
+        assert DEFAULT_DEGREES == DEFAULT_CONFIG["degrees"]
+        grid = DEFAULT_CONFIG["grid"]
+        assert list(defaults(FitGrid)["shape"]) == grid["shape"]
+        box = default_grid(SimpleNamespace(speed_max=30.0))
+        assert [list(box.a_range), list(box.grade_range), list(box.shape)] \
+            == [grid["a_range"], grid["grade_range"], grid["shape"]]
 
 
 class TestPlotsAndDynoPairs:

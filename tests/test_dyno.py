@@ -333,7 +333,9 @@ class TestBadArguments:
         ({"mu": 2.0}, "smoothing mu must be in [0, 1]"),
         ({"clip_fraction": 0.6}, "clip fraction must be in [0, 0.5)"),
         ({"max_steps": 0}, "smoothing max_steps must be at least 1"),
-    ], ids=["mu", "clip-fraction", "max-steps"])
+        ({"bound": -1.0}, "smoothing bound must be positive, got -1.0 m/s2"),
+        ({"bound": 0.0}, "smoothing bound must be positive, got 0.0 m/s2"),
+    ], ids=["mu", "clip-fraction", "max-steps", "negative-bound", "zero-bound"])
     def test_process_log(self, synthetic_log, kwargs, message):
         with pytest.raises(InvalidArgument, match=re.escape(message)):
             process_log(synthetic_log, **kwargs)
@@ -348,9 +350,11 @@ class TestBadArguments:
         ({"sample_rate_hz": 0.0}, "dyno sample rate must be positive"),
         ({"rpm_noise": -1.0}, "dyno rpm noise must be nonnegative"),
         ({"seed": -1}, "dyno seed must be nonnegative"),
-    ], ids=["sample-rate", "rpm-noise", "seed"])
+        ({"spike_rate": 2.0}, "dyno spike rate must be in [0, 1], got 2.0"),
+        ({"spike_rate": -0.1}, "dyno spike rate must be in [0, 1], got -0.1"),
+    ], ids=["sample-rate", "rpm-noise", "seed", "spike-rate-above-1", "negative-spike-rate"])
     def test_make_dyno_log(self, kwargs, message):
-        with pytest.raises(InvalidArgument, match=message):
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
             make_dyno_log(cruise_cycle(), default_vehicle(), **kwargs)
 
 

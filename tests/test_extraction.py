@@ -9,12 +9,14 @@ from vcdfuel.errors import (
     DegreeTooHigh,
     InsufficientData,
     InsufficientGearData,
+    InvalidArgument,
     NoDownshiftData,
     NoFuelCutData,
     NoIdleData,
     RankDeficient,
 )
 from vcdfuel.extraction import (
+    LAUNCH_BINS,
     ShiftEvent,
     VcdDataset,
     extract_downshift_map,
@@ -218,8 +220,8 @@ class TestTorqueCorrection:
             return wheel_force(p, v, a, grade, 1) * p.tire_radius / (
                 p.final_drive * p.gear_ratios[0] * p.driveline_eff)
 
-        knots = extract_torque_correction(ds, principled, n_bins=8)
-        assert 0 < len(knots) < 8
+        knots = extract_torque_correction(ds, principled)
+        assert 0 < len(knots) < LAUNCH_BINS == 8
 
 
 class TestFitPoly2d:
@@ -312,6 +314,12 @@ class TestFitAllMaps:
         with pytest.raises(InsufficientGearData) as info:
             fit_all_maps(ds)
         assert info.value.gear == vehicle.params.n_gears
+
+    @pytest.mark.parametrize("min_gear_samples", [0, -5])
+    def test_min_gear_samples_below_1_rejected(self, dataset, min_gear_samples):
+        with pytest.raises(InvalidArgument, match="min_gear_samples must be at least 1, "
+                                                  f"got {min_gear_samples}"):
+            fit_all_maps(dataset, min_gear_samples=min_gear_samples)
 
     def test_order_independence(self, vehicle, cycles, dataset):
         shuffled = VcdDataset(params=dataset.params,
