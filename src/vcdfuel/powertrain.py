@@ -273,25 +273,21 @@ def select_gear(maps: GearShiftMaps, n_gears: int, prev_gear: int, v: float, ped
     return prev_gear
 
 
-def max_wheel_torque_gear(params: VehicleParams, maps: GearShiftMaps, v, gear: int):
-    """Peak wheel torque [Nm] deliverable in one gear at speed v.
-
-    Zero where the gear would overspeed the engine. Below idle speed the
-    open converter lets the engine stay at idle, so the idle-speed torque
-    limit applies.
-    """
-    ratio = params.final_drive * params.gear_ratios[gear - 1]
-    n = transmission_output_speed(params, v) * params.gear_ratios[gear - 1]
-    n_eff = np.maximum(n, params.engine_speed_idle)
-    t_engine = maps.max_engine_torque(n_eff)
-    return np.where(n <= params.engine_speed_max, t_engine * ratio * params.driveline_eff, 0.0)
-
-
 def max_wheel_torque_by_gear(params: VehicleParams, maps: GearShiftMaps, v):
-    """Peak wheel torque of every gear, one row per gear; the maximum over
-    gears is the pedal normalization curve."""
-    return np.stack([max_wheel_torque_gear(params, maps, v, k)
-                     for k in range(1, params.n_gears + 1)])
+    """Peak wheel torque [Nm] of every gear at speed v, one row per gear; the
+    maximum over gears is the pedal normalization curve.
+
+    Zero where a gear would overspeed the engine. Below idle speed the open
+    converter lets the engine stay at idle, so the idle-speed torque limit
+    applies.
+    """
+    n = np.multiply.outer(params.gear_ratios, transmission_output_speed(params, v))
+    overspeed = n > params.engine_speed_max
+    t = maps.max_engine_torque(np.maximum(n, params.engine_speed_idle, out=n))
+    t *= (params.final_drive * params.gear_ratios).reshape((-1,) + (1,) * np.ndim(v))
+    t *= params.driveline_eff
+    t[overspeed] = 0.0
+    return t
 
 
 # --- simulation --------------------------------------------------------------

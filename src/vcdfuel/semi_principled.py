@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from .drive_cycles import DriveCycle
 from .errors import InvalidArgument
@@ -67,11 +68,34 @@ class SemiPrincipledModel:
     shift_maps: GearShiftMaps
     speed_max: float
     metadata: dict = field(default_factory=dict)
+    # per map kind (engine speed, torque): bounds[input, value, gear] for
+    # inputs x, y and values lo, hi, mean, std, and coeffs_std as [i, j, gear]
+    _gear_tables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.params.n_gears
         if len(self.engine_speed_maps) != n or len(self.torque_maps) != n:
             raise InvalidArgument("need one engine-speed and one torque map per gear")
+        degrees = sorted(map(list, {m.degree for m in (*self.engine_speed_maps, *self.torque_maps)}))
+        if len(degrees) > 1:
+            raise InvalidArgument(f"gear maps must share one degree, got {degrees}")
+        object.__setattr__(self, "_gear_tables", tuple(
+            (np.array([[*m.domain[0], m.x_mean, m.x_std, *m.domain[1], m.y_mean, m.y_std]
+                       for m in maps]).T.reshape(2, 4, -1),
+             np.stack([m.coeffs_std for m in maps], axis=-1))
+            for maps in (self.engine_speed_maps, self.torque_maps)))
+
+
+def broadcast_inputs(v, a, grade):
+    """(v, a, grade) as float arrays of one broadcast shape, at least 1-D; an
+    input of that shape is passed through, others are broadcast into copies.
+    A NaN entry is an InvalidArgument; infinities pass, evaluators clamp them."""
+    args = [np.asarray(x, dtype=float) for x in (v, a, grade)]
+    for name, x in zip(("v", "a", "grade"), args):
+        if np.isnan(x).any():
+            raise InvalidArgument(f"{name} has {np.count_nonzero(np.isnan(x))} NaN entries")
+    shape = np.broadcast(*args).shape or (1,)
+    return [x if x.shape == shape else np.broadcast_to(x, shape).copy() for x in args]
 
 
 def select_gear_stateless(model: SemiPrincipledModel, v, pedal):
@@ -87,27 +111,39 @@ def select_gear_stateless(model: SemiPrincipledModel, v, pedal):
     return gear if np.ndim(v) else int(gear[0])
 
 
+def _gear_maps(model: SemiPrincipledModel, idx, x, y, outside):
+    """Engine speed and torque from each point's own gear maps (gear index
+    ``idx``), bit for bit each map's ``evaluate(x, y, clamp=True)``; ORs
+    into ``outside`` where (x, y) lies outside either map's box."""
+    values = []
+    for bounds, coeffs in model._gear_tables:
+        uw = []
+        for z, (lo, hi, mean, std) in zip((x, y), bounds):
+            lo, hi = np.take(lo, idx), np.take(hi, idx)
+            outside |= (z < lo) | (z > hi)
+            uw.append((z.clip(lo, hi) - np.take(mean, idx)) / np.take(std, idx))
+        # polyval2d's Horner steps: over u within each w column, then over w
+        by_w = npoly.polyval(uw[0], np.take(coeffs, idx, axis=-1), tensor=False)
+        values.append(npoly.polyval(uw[1], by_w, tensor=False))
+    return values
+
+
 def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     """Vectorized model evaluation.
 
     Returns a dict of arrays: gear, engine_speed, engine_torque, pedal,
     fuel, flags, and map_force, the capped wheel force the selected gear's
-    driveline maps were evaluated at. Inputs outside the defined domain are
-    clamped and flagged; map inputs outside the fitted boxes likewise.
+    driveline maps were evaluated at. v, a and grade broadcast together and
+    a NaN is an InvalidArgument. Inputs outside the defined domain, inf
+    included, are clamped and flagged; map inputs outside the boxes likewise.
     """
     p = model.params
     c = model.constants
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    a = np.broadcast_to(np.asarray(a, dtype=float), v.shape).copy()
-    grade = np.broadcast_to(np.asarray(grade, dtype=float), v.shape).copy()
-
-    flags = np.zeros(v.shape, dtype=int)
-    clamped = (v < 0) | (v > model.speed_max) | (a < ACCEL_LIMITS[0]) | (a > ACCEL_LIMITS[1]) \
-        | (grade < GRADE_LIMITS[0]) | (grade > GRADE_LIMITS[1])
-    flags[clamped] |= FLAG_CLAMPED
-    v = np.clip(v, 0.0, model.speed_max)
-    a = np.clip(a, *ACCEL_LIMITS)
-    grade = np.clip(grade, *GRADE_LIMITS)
+    v_in, a_in, g_in = broadcast_inputs(v, a, grade)
+    v = v_in.clip(0.0, model.speed_max)
+    a = a_in.clip(*ACCEL_LIMITS)
+    grade = g_in.clip(*GRADE_LIMITS)
+    clamped = (v != v_in) | (a != a_in) | (grade != g_in)
 
     # pedal estimate from demanded wheel torque against the peak-torque curve
     # over all gears
@@ -125,32 +161,20 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     # see it; the raw demand still decides the fuel cut below
     f_cap = np.take_along_axis(t_gear, gear[None] - 1, axis=0)[0] / p.tire_radius
     map_force = np.minimum(force, f_cap)
-    flags |= np.where(force > f_cap, FLAG_ENVELOPE, 0)
-    n_out = transmission_output_speed(p, v)
-
-    engine_speed = np.zeros_like(v)
-    engine_torque = np.zeros_like(v)
-    for k in range(1, p.n_gears + 1):
-        mask = gear == k
-        if not np.any(mask):
-            continue
-        n_map = model.engine_speed_maps[k - 1]
-        t_map = model.torque_maps[k - 1]
-        x, y = n_out[mask], map_force[mask]
-        flags[mask] |= np.where(n_map.out_of_domain(x, y) | t_map.out_of_domain(x, y),
-                                FLAG_CLAMPED, 0)
-        engine_speed[mask] = n_map.evaluate(x, y, clamp=True)
-        engine_torque[mask] = t_map.evaluate(x, y, clamp=True)
+    del t_gear  # one row per gear; free it before the gear maps' temporaries
+    engine_speed, engine_torque = _gear_maps(model, gear - 1, transmission_output_speed(p, v),
+                                             map_force, clamped)
     engine_torque[gear == 1] += launch_torque(c.launch_correction, a[gear == 1])
 
     engine_speed = np.clip(engine_speed, p.engine_speed_idle, p.engine_speed_max)
     t_cap = model.shift_maps.max_engine_torque(engine_speed)
-    flags |= np.where(engine_torque > t_cap, FLAG_ENVELOPE, 0)
-    flags |= np.where(engine_torque < c.torque_floor, FLAG_FLOOR, 0)
+    envelope = (force > f_cap) | (engine_torque > t_cap)
+    floor = engine_torque < c.torque_floor
     engine_torque = np.clip(engine_torque, c.torque_floor, t_cap)
 
     fuel = np.maximum(0.0, model.fuel_map.evaluate(engine_speed, engine_torque, clamp=True))
-    flags |= np.where(model.fuel_map.out_of_domain(engine_speed, engine_torque), FLAG_CLAMPED, 0)
+    clamped |= model.fuel_map.out_of_domain(engine_speed, engine_torque)
+    flags = clamped * FLAG_CLAMPED | envelope * FLAG_ENVELOPE | floor * FLAG_FLOOR
     cut = (v > c.cut_speed) & (force < c.cut_force)
     fuel[cut] = 0.0
 
@@ -175,17 +199,14 @@ def domain_excess(model: SemiPrincipledModel, v, out: dict):
     Useful to tell deep extrapolation from boundary grazing.
     """
     v = np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, model.speed_max)
-    n_out = transmission_output_speed(model.params, v)
-    excess = np.zeros_like(n_out)
-    for k in range(1, model.params.n_gears + 1):
-        mask = out["gear"] == k
-        if not np.any(mask):
-            continue
-        inputs = (n_out[mask], out["map_force"][mask])
-        for poly in (model.engine_speed_maps[k - 1], model.torque_maps[k - 1]):
-            for x, (lo, hi) in zip(inputs, poly.domain):
-                over = np.maximum(np.maximum(lo - x, x - hi), 0.0) / max(hi - lo, 1e-9)
-                excess[mask] = np.maximum(excess[mask], over)
+    inputs = (transmission_output_speed(model.params, v), out["map_force"])
+    idx = out["gear"] - 1
+    excess = np.zeros(idx.shape)
+    for bounds, _ in model._gear_tables:
+        for x, (lo, hi, _, _) in zip(inputs, bounds):
+            lo, hi = np.take(lo, idx), np.take(hi, idx)
+            over = np.maximum(np.maximum(lo - x, x - hi), 0.0) / np.maximum(hi - lo, 1e-9)
+            excess = np.maximum(excess, over)
     return excess
 
 
@@ -198,10 +219,9 @@ def eval_semi(model: SemiPrincipledModel, v: float, a: float, grade: float = 0.0
 
 def eval_semi_trace(model: SemiPrincipledModel, t, v, a, grade=0.0, name: str = "semi") -> Trace:
     """Rowwise application over a (t, v, a) profile; no state between rows."""
-    t = np.asarray(t, dtype=float)
+    v, a, grade = broadcast_inputs(v, a, grade)
     out = evaluate(model, v, a, grade)
-    return Trace(name=name, t=t, v=np.asarray(v, dtype=float), a=np.asarray(a, dtype=float),
-                 grade=np.broadcast_to(np.asarray(grade, dtype=float), t.shape).copy(),
+    return Trace(name=name, t=np.asarray(t, dtype=float), v=v, a=a, grade=grade,
                  gear=out["gear"], engine_speed=out["engine_speed"],
                  engine_torque=out["engine_torque"], pedal=out["pedal"],
                  fuel=out["fuel"], flags=out["flags"])

@@ -21,7 +21,7 @@ import numpy.polynomial.polynomial as npoly
 from .errors import ConstraintInfeasible, InvalidArgument, RankDeficient
 from .jsonio import read_json
 from .powertrain import STANDSTILL_SPEED
-from .semi_principled import SemiPrincipledModel, domain_excess, evaluate
+from .semi_principled import SemiPrincipledModel, broadcast_inputs, domain_excess, evaluate
 from .trace import FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
 
 DEFAULT_DEGREES = {"C": 3, "P": 2, "Q": 1, "Z": 1}
@@ -97,18 +97,19 @@ class SimplifiedModel:
         """Boundary acceleration below which fuel is cut (for v above cut_speed)."""
         v = np.asarray(v, dtype=float)
         grade = np.asarray(grade, dtype=float)
+        # powers 0..2 of each input; a plain 1.0 multiplies exactly like v**0
+        v_pow, g_pow = (1.0, v, v * v), (1.0, grade, grade * grade)
         out = np.zeros(np.broadcast(v, grade).shape)
         for c, (i, j) in zip(self.cut_boundary, CUT_BOUNDARY_TERMS):
-            out = out + c * v ** i * grade ** j
+            out = out + c * v_pow[i] * g_pow[j]
         return out
 
     def positive_part(self, v, a, grade=0.0):
         """The polynomial branch C + P*a + Q*(a+)^2 + Z*grade."""
-        v = np.asarray(v, dtype=float)
-        a_plus = np.maximum(np.asarray(a, dtype=float), 0.0)
-        return (npoly.polyval(v, self.coeff_c)
-                + npoly.polyval(v, self.coeff_p) * np.asarray(a, dtype=float)
-                + npoly.polyval(v, self.coeff_q) * a_plus ** 2
+        v, a = np.asarray(v, dtype=float), np.asarray(a, dtype=float)
+        a_plus = np.maximum(a, 0.0)
+        return (npoly.polyval(v, self.coeff_c) + npoly.polyval(v, self.coeff_p) * a
+                + npoly.polyval(v, self.coeff_q) * (a_plus * a_plus)
                 + npoly.polyval(v, self.coeff_z) * np.asarray(grade, dtype=float))
 
     def min_accel(self, v):
@@ -121,40 +122,34 @@ def eval_simplified(model: SimplifiedModel, v, a, grade=0.0, with_flags: bool = 
 
     Returns exactly 0 in the fuel-cut region (v above the cut speed and
     acceleration below the fitted boundary) and at least beta at or below
-    the cut speed.
+    the cut speed. v, a and grade broadcast together and a NaN is an
+    InvalidArgument; the result is a float only if all three are scalars.
     """
-    v_in = np.atleast_1d(np.asarray(v, dtype=float))
-    a_in = np.broadcast_to(np.asarray(a, dtype=float), v_in.shape)
-    g_in = np.broadcast_to(np.asarray(grade, dtype=float), v_in.shape)
-    clamped = (v_in < model.v_range[0]) | (v_in > model.v_range[1]) \
-        | (a_in < model.a_range[0]) | (a_in > model.a_range[1]) \
-        | (g_in < model.grade_range[0]) | (g_in > model.grade_range[1])
-    vv = np.clip(v_in, *model.v_range)
-    aa = np.clip(a_in, *model.a_range)
-    gg = np.clip(g_in, *model.grade_range)
+    v_in, a_in, g_in = broadcast_inputs(v, a, grade)
+    vv = v_in.clip(*model.v_range)
+    aa = a_in.clip(*model.a_range)
+    gg = g_in.clip(*model.grade_range)
 
     fp = model.positive_part(vv, aa, gg)
     fuel = np.maximum(fp, 0.0)
     low = vv <= model.cut_speed
-    fuel[low] = np.maximum(fp[low], model.beta)
-    cut = ~low & (aa < model.cut_accel(vv, gg))
-    fuel[cut] = 0.0
+    np.maximum(fp, model.beta, out=fuel, where=low)
+    fuel[~low & (aa < model.cut_accel(vv, gg))] = 0.0
 
-    if not np.ndim(v):
-        return (float(fuel[0]), bool(clamped[0])) if with_flags else float(fuel[0])
-    return (fuel, clamped) if with_flags else fuel
+    scalar = np.ndim(v) == np.ndim(a) == np.ndim(grade) == 0
+    if not with_flags:
+        return float(fuel[0]) if scalar else fuel
+    clamped = (vv != v_in) | (aa != a_in) | (gg != g_in)
+    return (float(fuel[0]), bool(clamped[0])) if scalar else (fuel, clamped)
 
 
 def eval_simplified_trace(model: SimplifiedModel, t, v, a, grade=0.0,
                           name: str = "simplified") -> Trace:
     """Rowwise evaluation over a (t, v, a) profile; no internal dynamics."""
-    t = np.asarray(t, dtype=float)
-    fuel, clamped = eval_simplified(model, np.asarray(v, dtype=float), a, grade, with_flags=True)
-    return Trace(name=name, t=t, v=np.asarray(v, dtype=float),
-                 a=np.broadcast_to(np.asarray(a, dtype=float), t.shape).copy(),
-                 grade=np.broadcast_to(np.asarray(grade, dtype=float), t.shape).copy(),
-                 fuel=np.atleast_1d(fuel),
-                 flags=np.where(np.atleast_1d(clamped), FLAG_CLAMPED, 0))
+    v, a, grade = broadcast_inputs(v, a, grade)
+    fuel, clamped = eval_simplified(model, v, a, grade, with_flags=True)
+    return Trace(name=name, t=np.asarray(t, dtype=float), v=v, a=a, grade=grade, fuel=fuel,
+                 flags=clamped * FLAG_CLAMPED)
 
 
 # --- fitting -----------------------------------------------------------------

@@ -43,6 +43,14 @@ def tree(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def gear_map_of_other_degree(text):
+    """A semi_model.json whose third torque map is a consistent (2, 1) map."""
+    doc = json.loads(text)
+    doc["torque_maps"][2]["degree"] = [2, 1]
+    doc["torque_maps"][2]["coeffs_std"].append([0.0, 0.0])
+    return json.dumps(doc)
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
@@ -175,12 +183,14 @@ class TestBadInputsExit1:
 
     @pytest.mark.parametrize("stage, artifact, damage, downstream", [
         ("fit-simplified", "semi_model.json", lambda text: text[:500], "simplified_model.json"),
+        ("fit-simplified", "semi_model.json", gear_map_of_other_degree, "simplified_model.json"),
         ("validate", "simplified_model.json",
          lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "coeff_c"}),
          "reports/report.json"),
         ("extract", "traces/manifest.json", lambda text: json.dumps({"cycles": 5}),
          "semi_model.json"),
-    ], ids=["truncated-semi-model", "simplified-model-without-coeff-c", "manifest-cycles-int"])
+    ], ids=["truncated-semi-model", "gear-maps-of-unequal-degree",
+            "simplified-model-without-coeff-c", "manifest-cycles-int"])
     def test_malformed_json_artifact(self, pipeline_out, tmp_path, capsys,
                                      stage, artifact, damage, downstream):
         out = tmp_path / "out"
@@ -191,7 +201,7 @@ class TestBadInputsExit1:
         assert main([stage, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:")
-        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / downstream).exists()
 
     def test_urban_only_cycle_set_names_top_gear(self, tmp_path, capsys):

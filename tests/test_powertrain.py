@@ -15,7 +15,6 @@ from vcdfuel.powertrain import (
     launch_torque,
     load_vehicle,
     max_wheel_torque_by_gear,
-    max_wheel_torque_gear,
     road_load,
     save_vehicle,
     select_gear,
@@ -110,14 +109,15 @@ class TestOutputSpeed:
 
 class TestInvertDriveline:
     def test_undoes_peak_wheel_torque(self, vehicle):
-        # max_wheel_torque_gear runs the driveline forward from the torque curve
+        # max_wheel_torque_by_gear runs the driveline forward from the torque curve
         p, maps = vehicle.params, vehicle.shift_maps
         v = np.array([2.0, 8.0, 15.0])
+        t_gear = max_wheel_torque_by_gear(p, maps, v)
         for k in range(1, p.n_gears + 1):
             n = np.maximum(transmission_output_speed(p, v) * p.gear_ratios[k - 1],
                            p.engine_speed_idle)
             ok = n <= p.engine_speed_max
-            force = max_wheel_torque_gear(p, maps, v, k) / p.tire_radius
+            force = t_gear[k - 1] / p.tire_radius
             assert np.allclose(invert_driveline(p, force, k)[ok],
                                maps.max_engine_torque(n)[ok], rtol=1e-12)
 

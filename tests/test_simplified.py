@@ -11,7 +11,7 @@ from vcdfuel.errors import InvalidArgument
 from vcdfuel.jsonio import write_json
 from vcdfuel.powertrain import (
     GRAVITY,
-    max_wheel_torque_gear,
+    max_wheel_torque_by_gear,
     road_load,
     transmission_output_speed,
 )
@@ -225,7 +225,7 @@ def reference_domain_excess(model, v, a, grade):
         mask = gear == k
         if not np.any(mask):
             continue
-        f_cap = max_wheel_torque_gear(p, model.shift_maps, v[mask], k) / p.tire_radius
+        f_cap = max_wheel_torque_by_gear(p, model.shift_maps, v[mask])[k - 1] / p.tire_radius
         f_used = np.minimum(force[mask], f_cap)
         for poly in (model.engine_speed_maps[k - 1], model.torque_maps[k - 1]):
             (x0, x1), (y0, y1) = poly.domain
