@@ -81,10 +81,7 @@ DEFAULT_CONFIG = {
 def load_config(path=None, overrides=None) -> dict:
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is not None:
-        try:
-            user = read_json(path, _checked_config)
-        except FileNotFoundError:
-            raise MissingPrerequisite(f"config file not found: {path}") from None
+        user = read_json(_existing(path, "config"), _checked_config)
         for key, val in user.items():
             if isinstance(cfg.get(key), dict):
                 cfg[key].update(val)
@@ -177,27 +174,29 @@ def _write_artifact(cfg: dict, path: Path, doc: dict) -> None:
 def _resolve_vehicle(cfg):
     if cfg["vehicle"] == "builtin":
         return default_vehicle()
-    path = Path(cfg["vehicle"])
-    if not path.exists():
-        raise MissingPrerequisite(f"vehicle file not found: {path}")
-    return load_vehicle(path)
+    return load_vehicle(_existing(cfg["vehicle"], "vehicle"))
 
 
 def _resolve_cycles(cfg):
     if cfg["cycles"] == "builtin":
         return list(builtin_cycles().values())
-    cycles = []
-    for item in cfg["cycles"]:
-        path = Path(item)
-        if not path.exists():
-            raise MissingPrerequisite(f"cycle file not found: {path}")
-        cycles.append(load_cycle(path, unit=cfg["unit"]))
-    names = [cycle.name for cycle in cycles]
+    cycles = [load_cycle(_existing(item, "cycle"), unit=cfg["unit"]) for item in cfg["cycles"]]
+    # both would write traces/<name>_reference.csv
+    _unique_names("cycles", "cycle files", [cycle.name for cycle in cycles])
+    return cycles
+
+
+def _existing(path, kind: str) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise MissingPrerequisite(f"{kind} file not found: {path}")
+    return path
+
+
+def _unique_names(key: str, kind: str, names: list[str]) -> None:
     for name in names:
         if names.count(name) > 1:
-            # both would write traces/<name>_reference.csv
-            raise ParseError(f"config key 'cycles': two cycle files named '{name}'")
-    return cycles
+            raise ParseError(f"config key '{key}': two {kind} named '{name}'")
 
 
 def _out_dir(cfg, args) -> Path:
@@ -305,20 +304,17 @@ def cmd_ingest(cfg, args, run=None) -> int:
     out = _out_dir(cfg, args)
     profiles_dir = out / "profiles"
     profiles_dir.mkdir(exist_ok=True)
-    logs = []
     if cfg["dyno_logs"] == "synthetic":
         syn = dict(cfg["dyno_synthetic"])
         log = make_dyno_log(builtin_cycles()[syn.pop("cycle")], _vehicle(cfg, run), **syn)
         raw_path = out / "profiles" / f"{log.name}_raw.csv"
         write_dyno_csv(log, raw_path)
         print(f"wrote {raw_path} (synthetic rig recording)")
-        logs.append(log)
+        logs = [log]
     else:
-        for item in cfg["dyno_logs"]:
-            path = Path(item)
-            if not path.exists():
-                raise MissingPrerequisite(f"dyno log not found: {path}")
-            logs.append(read_dyno_csv(path))
+        logs = [read_dyno_csv(_existing(item, "dyno log")) for item in cfg["dyno_logs"]]
+        # both would write profiles/<name>_*.csv
+        _unique_names("dyno_logs", "dyno logs", [log.name for log in logs])
     rig_traces = run["rig_traces"] = {}
     for log in logs:
         profile = process_log(log, dt=cfg["dt"], **cfg["smoothing"])
@@ -360,8 +356,8 @@ def cmd_validate(cfg, args, run=None) -> int:
     pairs = []
     if cfg.get("validate_pairs"):
         for entry in cfg["validate_pairs"]:
-            ref = read_trace_csv(_require(Path(entry["ref"]), "simulate"))
-            model = read_trace_csv(_require(Path(entry["model"]), "simulate"))
+            ref = read_trace_csv(_existing(entry["ref"], "reference trace"))
+            model = read_trace_csv(_existing(entry["model"], "model trace"))
             pairs.append((entry["name"], ref, model))
     else:
         semi = _semi(out, run)

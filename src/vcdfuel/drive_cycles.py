@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import InvalidDt, MonotonicityError, ParseError, UnitError
+from .errors import MonotonicityError, ParseError, UnitError
+from .trace import uniform_grid
 
 # factors converting the named unit TO m/s
 _UNIT_FACTORS = {
@@ -89,10 +90,7 @@ def resample(cycle: DriveCycle, dt: float) -> DriveCycle:
     The final original timestamp is kept if it does not land on the grid, so
     endpoints are always preserved.
     """
-    if dt <= 0:
-        raise InvalidDt(f"dt must be positive, got {dt}")
-    n = int(np.floor(cycle.duration / dt + 1e-9))
-    grid = np.arange(n + 1) * dt
+    grid = uniform_grid(0.0, cycle.duration, dt)
     if grid[-1] < cycle.duration - 1e-9:
         grid = np.append(grid, cycle.duration)
     v = np.interp(grid, cycle.t, cycle.v)

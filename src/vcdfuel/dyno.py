@@ -28,7 +28,7 @@ from .errors import (
     SmoothingDiverged,
 )
 from .extraction import percentile
-from .trace import DT, RADPS_TO_RPM, Trace
+from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
 
 KPH_TO_MPS = 1.0 / 3.6
 
@@ -81,8 +81,7 @@ class DynoLog:
 
     def resampled(self, dt: float) -> "DynoLog":
         """Uniform grid via linear interpolation (nearest for gear)."""
-        n = int(np.floor((self.t[-1] - self.t[0]) / dt + 1e-9))
-        grid = self.t[0] + np.arange(n + 1) * dt
+        grid = uniform_grid(self.t[0], self.t[-1], dt)
         kwargs = {}
         for name in DYNO_COLUMNS[1:]:
             kwargs[name] = np.interp(grid, self.t, getattr(self, name))

@@ -25,7 +25,7 @@ class MonotonicityError(VcdFuelError):
 
 
 class InvalidDt(VcdFuelError):
-    """Resampling step must be positive."""
+    """Grid step must be finite and positive."""
 
 
 # --- powertrain --------------------------------------------------------------

@@ -89,12 +89,17 @@ class SemiPrincipledModel:
 def broadcast_inputs(v, a, grade):
     """(v, a, grade) as float arrays of one broadcast shape, at least 1-D; an
     input of that shape is passed through, others are broadcast into copies.
-    A NaN entry is an InvalidArgument; infinities pass, evaluators clamp them."""
+    A NaN entry or shapes that do not broadcast are an InvalidArgument;
+    infinities pass, evaluators clamp them."""
     args = [np.asarray(x, dtype=float) for x in (v, a, grade)]
     for name, x in zip(("v", "a", "grade"), args):
         if np.isnan(x).any():
             raise InvalidArgument(f"{name} has {np.count_nonzero(np.isnan(x))} NaN entries")
-    shape = np.broadcast(*args).shape or (1,)
+    try:
+        shape = np.broadcast(*args).shape or (1,)
+    except ValueError:
+        raise InvalidArgument(f"v {args[0].shape}, a {args[1].shape} and grade {args[2].shape} "
+                              "do not broadcast together") from None
     return [x if x.shape == shape else np.broadcast_to(x, shape).copy() for x in args]
 
 

@@ -34,6 +34,8 @@ EXTRAPOLATION_MARGIN = 0.25      # share of a map box's span, see fit_simplified
 # term exponents (i, j) of the cut-boundary polynomial sum c_ij v**i th**j,
 # total degree <= 2
 CUT_BOUNDARY_TERMS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+# their columns in npoly.polyvander2d(v, th, (2, 2))
+CUT_BOUNDARY_COLUMNS = np.ravel_multi_index(np.transpose(CUT_BOUNDARY_TERMS), (3, 3))
 
 
 @dataclass(frozen=True)
@@ -254,25 +256,19 @@ def _split_coeffs(coeffs, deg, v_scale):
 
 def _fit_grade_coefficient(v_ax, g_ax, fuel, include, degree, v_scale) -> np.ndarray:
     """Z(v) from symmetric-difference grade slopes, one polynomial LS."""
-    vs, slopes = [], []
-    n_g = len(g_ax)
-    for i, v in enumerate(v_ax):
-        acc = []
-        for j in range(n_g // 2):
-            k = n_g - 1 - j
-            if abs(g_ax[j] + g_ax[k]) > 1e-12:
-                continue
-            both = include[i, :, j] & include[i, :, k]
-            if np.any(both):
-                diff = (fuel[i, both, k] - fuel[i, both, j]) / (g_ax[k] - g_ax[j])
-                acc.extend(diff.tolist())
-        if acc:
-            vs.append(v)
-            slopes.append(float(np.mean(acc)))
-    if len(vs) < degree + 1:
-        raise RankDeficient(f"only {len(vs)} grade-slope samples for degree {degree}")
-    design = npoly.polyvander(np.array(vs) / v_scale, degree)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, np.array(slopes), rcond=None)
+    lo = np.arange(len(g_ax) // 2)
+    lo = lo[np.abs(g_ax[lo] + g_ax[-1 - lo]) <= 1e-12]
+    hi = len(g_ax) - 1 - lo
+    # cells where both grades of a symmetric pair are usable, ordered (speed, pair,
+    # accel): each speed's mean then sums its slopes in the order the fit always has
+    iv, ip, ia = np.nonzero(np.swapaxes(include[:, :, lo] & include[:, :, hi], 1, 2))
+    rows, starts = np.unique(iv, return_index=True)
+    if rows.size < degree + 1:
+        raise RankDeficient(f"only {rows.size} grade-slope samples for degree {degree}")
+    slopes = (fuel[iv, ia, hi[ip]] - fuel[iv, ia, lo[ip]]) / (g_ax[hi[ip]] - g_ax[lo[ip]])
+    design = npoly.polyvander(v_ax[rows] / v_scale, degree)
+    means = [np.mean(part) for part in np.split(slopes, starts[1:])]
+    coeffs, _, rank, _ = np.linalg.lstsq(design, np.array(means), rcond=None)
     if rank < degree + 1:
         raise RankDeficient("grade-slope sample geometry is degenerate")
     return coeffs / v_scale ** np.arange(coeffs.size)
@@ -287,23 +283,15 @@ def _fit_cut_boundary(v_ax, a_ax, g_ax, cut_cells, cut_speed) -> np.ndarray:
     cell's center instead would bias the whole surface low by half a step.
     """
     half_step = 0.5 * (a_ax[1] - a_ax[0])
-    vs, gs, bounds = [], [], []
-    for i, v in enumerate(v_ax):
-        if v <= cut_speed:
-            continue
-        for j, g in enumerate(g_ax):
-            line = cut_cells[i, :, j]
-            if np.any(line):
-                bounds.append(a_ax[np.nonzero(line)[0].max()] + half_step)
-                vs.append(v)
-                gs.append(g)
-    if len(bounds) < len(CUT_BOUNDARY_TERMS):
+    # last cut cell of every (speed, grade) line, lines in row-major order
+    last_cut = len(a_ax) - 1 - np.argmax(cut_cells[:, ::-1, :], axis=1)
+    iv, ig = np.nonzero(cut_cells.any(axis=1) & (v_ax > cut_speed)[:, None])
+    bounds = a_ax[last_cut[iv, ig]] + half_step
+    if bounds.size < len(CUT_BOUNDARY_TERMS):
         raise RankDeficient(
-            f"only {len(bounds)} cut-boundary samples for {len(CUT_BOUNDARY_TERMS)} terms")
-    vs = np.array(vs)
-    gs = np.array(gs)
-    design = np.column_stack([vs ** i * gs ** j for i, j in CUT_BOUNDARY_TERMS])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, np.array(bounds), rcond=None)
+            f"only {bounds.size} cut-boundary samples for {len(CUT_BOUNDARY_TERMS)} terms")
+    design = npoly.polyvander2d(v_ax[iv], g_ax[ig], (2, 2))[:, CUT_BOUNDARY_COLUMNS]
+    coeffs, _, rank, _ = np.linalg.lstsq(design, bounds, rcond=None)
     if rank < len(CUT_BOUNDARY_TERMS):
         raise RankDeficient("cut-boundary sample geometry is degenerate")
     return coeffs

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import MonotonicityError, ParseError
+from .errors import InvalidDt, MonotonicityError, ParseError
 
 RADPS_TO_RPM = 60.0 / (2.0 * np.pi)
 
@@ -73,6 +73,15 @@ class Trace:
             f.name for f in fields(self)
             if f.name not in ("name", "t") and getattr(self, f.name) is not None
         ]
+
+
+def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    """The grid t0, t0 + dt, t0 + 2 dt, ... up to t1, a 1e-9 step short
+    counting as reaching it; dt must be finite and positive."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise InvalidDt(f"dt must be finite and positive, got {dt}")
+    n = int(np.floor((t1 - t0) / dt + 1e-9))
+    return t0 + np.arange(n + 1) * dt
 
 
 def write_trace_csv(trace: Trace, path) -> None:

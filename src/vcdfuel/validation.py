@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_columns
-from .errors import LengthMismatch, NoOverlap, ZeroReference
+from .errors import InsufficientData, InvalidArgument, LengthMismatch, NoOverlap, ZeroReference
 from .jsonio import read_json
-from .trace import DT, RADPS_TO_RPM, Trace
+from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
 
 
 @dataclass
@@ -50,8 +50,7 @@ def align(ref: Trace, model: Trace, dt: float = DT) -> AlignedPair:
     t1 = min(ref.t[-1], model.t[-1])
     if t0 > t1:
         raise NoOverlap(f"traces '{ref.name}' and '{model.name}' share no time range")
-    n = int(np.floor((t1 - t0) / dt + 1e-9))
-    grid = t0 + np.arange(n + 1) * dt
+    grid = uniform_grid(t0, t1, dt)
     return AlignedPair(t=grid, ref=_interp_columns(ref, grid), model=_interp_columns(model, grid))
 
 
@@ -70,6 +69,8 @@ def cumulative_fuel(trace_or_t, fuel=None) -> tuple[float, np.ndarray]:
     """Trapezoidal fuel integral [g]: total and the running series."""
     if fuel is None:
         t, f = trace_or_t.t, trace_or_t.fuel
+        if f is None:
+            raise InsufficientData(f"trace '{trace_or_t.name}' has no 'fuel' column")
     else:
         t = np.asarray(trace_or_t, dtype=float)
         f = np.asarray(fuel, dtype=float)
@@ -203,6 +204,11 @@ def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = DT,
     """
     if not pairs:
         raise ValueError("need at least one pair")
+    names = [cycle for cycle, _, _ in pairs]
+    for name in names:
+        if names.count(name) > 1:
+            # both would write one record and one <cycle>_fuel.svg
+            raise InvalidArgument(f"two validation pairs named '{name}'")
     records = []
     for cycle, ref, model in pairs:
         pair = align(ref, model, dt)
@@ -218,23 +224,20 @@ def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = DT,
 def _write_svg_panel(pair, path) -> None:
     """Minimal static line chart: reference vs model fuel rate."""
     width, height, margin = 900, 260, 30
-    t = pair.t
-    series = [("#1f77b4", pair.ref["fuel"]), ("#d62728", pair.model["fuel"])]
-    top = max(1e-9, max(float(np.max(s)) for _, s in series))
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
-    for color, values in series:
-        pts = []
-        for i in range(t.size):
-            x = margin + (width - 2 * margin) * (t[i] - t[0]) / max(t[-1] - t[0], 1e-9)
-            y = height - margin - (height - 2 * margin) * values[i] / top
-            pts.append(f"{x:.1f},{y:.1f}")
-        lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1" '
-                     f'points="{" ".join(pts)}"/>')
-    lines.append("</svg>")
+    t, ref, model = pair.t, pair.ref["fuel"], pair.model["fuel"]
+    top = max(1e-9, float(np.max(ref)), float(np.max(model)))
+    x = (margin + (width - 2 * margin) * (t - t[0]) / max(t[-1] - t[0], 1e-9)).tolist()
+
+    def polyline(color, values):
+        y = height - margin - (height - 2 * margin) * values / top
+        pts = " ".join(map("{:.1f},{:.1f}".format, x, y.tolist()))
+        return f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
+
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+                f'viewBox="0 0 {width} {height}">\n'
+                f'<rect width="{width}" height="{height}" fill="white"/>\n'
+                f'{polyline("#1f77b4", ref)}\n{polyline("#d62728", model)}\n</svg>\n')
 
 
 def load_report(path) -> ValidationReport:

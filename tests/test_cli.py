@@ -103,6 +103,7 @@ class TestStages:
 
 
 TRACE_HEADER = "t,v,gear,fuel\n"
+GOOD_TRACE = TRACE_HEADER + "0,0,1,0.5\n1,1,1,0.6\n2,2,2,0.7\n"
 DYNO_HEADER = ",".join(DYNO_COLUMNS) + "\n"
 DYNO_ROW = "0,20,1500,80,20,1.2,90,2,500\n"
 MALFORMED = [
@@ -113,6 +114,7 @@ MALFORMED = [
     ("validate_pairs", "validate", TRACE_HEADER, "no data rows"),
     ("validate_pairs", "validate", TRACE_HEADER + "0,0,1,0.5\n2,1,1,0.6\n1,1,1,0.6\n",
      "not strictly increasing"),
+    ("validate_pairs", "validate", "t,v\n0,0\n1,1\n2,2\n", "trace 'bad' has no 'fuel' column"),
     ("dyno_logs", "ingest", DYNO_HEADER + DYNO_ROW + "0.1,20,inf,80,20,1.2,90,2,500\n",
      "non-finite"),
     ("dyno_logs", "ingest", DYNO_HEADER + DYNO_ROW + "0.1,20,1500,80,20,nan,90,2,500\n",
@@ -128,14 +130,14 @@ MALFORMED = [
 class TestBadInputsExit1:
     @pytest.mark.parametrize("key, stage, text, message", MALFORMED, ids=[
         "trace-nan-fuel", "trace-repeated-column", "trace-fractional-gear", "trace-header-only",
-        "trace-decreasing-t", "dyno-inf-rpm", "dyno-nan-fuel", "dyno-header-only",
-        "dyno-decreasing-t", "cycle-extra-column", "cycle-text-column"])
+        "trace-decreasing-t", "trace-without-fuel", "dyno-inf-rpm", "dyno-nan-fuel",
+        "dyno-header-only", "dyno-decreasing-t", "cycle-extra-column", "cycle-text-column"])
     def test_malformed_csv(self, tmp_path, capsys, key, stage, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         if key == "validate_pairs":
             good = tmp_path / "good.csv"
-            good.write_text(TRACE_HEADER + "0,0,1,0.5\n1,1,1,0.6\n2,2,2,0.7\n")
+            good.write_text(GOOD_TRACE)
             value = [{"name": "pair", "ref": str(good), "model": str(bad)}]
         else:
             value = [str(bad)]
@@ -237,6 +239,75 @@ class TestBadInputsExit1:
                                               for sub in ("a", "b")]}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "two cycle files named 'urban'" in capsys.readouterr().err
+
+    def test_rig_log_named_like_a_cycle(self, tmp_path, capsys):
+        (tmp_path / "rig").mkdir()
+        for name, cycle in (("cruise", cruise_cycle()), ("urban", urban_cycle())):
+            save_cycle(cycle, tmp_path / f"{name}.csv")
+        write_dyno_csv(make_dyno_log(cruise_cycle(), default_vehicle(), seed=5),
+                       tmp_path / "rig" / "cruise.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cycles": [str(tmp_path / "cruise.csv"),
+                                              str(tmp_path / "urban.csv")],
+                                   "dyno_logs": [str(tmp_path / "rig" / "cruise.csv")]}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--plots"]) == 1
+        assert capsys.readouterr().err == "error: two validation pairs named 'cruise_semi'\n"
+        assert list((out / "reports").iterdir()) == []
+
+    def test_two_dyno_logs_with_one_name(self, tmp_path, capsys):
+        log = make_dyno_log(cruise_cycle(), default_vehicle(), seed=5)
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            write_dyno_csv(log, tmp_path / sub / "x.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dyno_logs": [str(tmp_path / sub / "x.csv")
+                                                 for sub in ("a", "b")]}))
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: config key 'dyno_logs': two dyno logs named 'x'\n"
+        assert list((out / "profiles").iterdir()) == []
+
+    def test_repeated_validate_pairs_name(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text(GOOD_TRACE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"validate_pairs": [
+            {"name": "pair", "ref": str(good), "model": str(good)}] * 2}))
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(cfg), "--out", str(out), "--plots"]) == 1
+        assert capsys.readouterr().err == "error: two validation pairs named 'pair'\n"
+        assert list((out / "reports").iterdir()) == []
+
+    @pytest.mark.parametrize("missing", ["ref", "model"])
+    def test_missing_validate_pairs_path_exits_2(self, tmp_path, capsys, missing):
+        good = tmp_path / "good.csv"
+        good.write_text(GOOD_TRACE)
+        entry = {"name": "pair", "ref": str(good), "model": str(good),
+                 missing: str(tmp_path / "nope.csv")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"validate_pairs": [entry]}))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        kind = {"ref": "reference", "model": "model"}[missing]
+        assert capsys.readouterr().err == \
+            f"error: {kind} trace file not found: {tmp_path / 'nope.csv'}\n"
+
+    @pytest.mark.parametrize("stage, dt", [
+        ("ingest", "0"), ("validate", "0"), ("ingest", "nan"), ("simulate", "nan"),
+        ("simulate", "inf"), ("simulate", "-0.1")])
+    def test_grid_step_must_be_finite_and_positive(self, tmp_path, capsys, stage, dt):
+        args = [stage, "--out", str(tmp_path / "out"), "--dt", dt]
+        if stage == "validate":
+            good = tmp_path / "good.csv"
+            good.write_text(GOOD_TRACE)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"validate_pairs": [
+                {"name": "pair", "ref": str(good), "model": str(good)}]}))
+            args += ["--config", str(cfg)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == \
+            f"error: dt must be finite and positive, got {float(dt)}\n"
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda doc: doc["params"].pop("mass_kg"), "missing key 'mass_kg'"),

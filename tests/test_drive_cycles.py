@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vcdfuel.drive_cycles import DriveCycle, load_cycle, resample, save_cycle
+from vcdfuel.dyno import DynoLog
 from vcdfuel.errors import InvalidDt, MonotonicityError, ParseError, UnitError
+from vcdfuel.trace import Trace, uniform_grid
+from vcdfuel.validation import align
 
 
 def write_csv(path, rows, header="t,v"):
@@ -124,6 +129,24 @@ class TestResample:
             resample(cycle, 0.0)
         with pytest.raises(InvalidDt):
             resample(cycle, -1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_every_grid_rejects_bad_dt(self, dt):
+        """Cycle resampling, dyno-log resampling and trace alignment share one rule."""
+        t = np.array([0.0, 1.0, 2.0])
+        log = DynoLog("log", t, *(np.ones(3) for _ in range(8)))
+        trace = Trace(name="tr", t=t, v=np.ones(3))
+        message = f"^dt must be finite and positive, got {dt}$"
+        for make_grid in (lambda: resample(DriveCycle("c", t, [0, 1, 0]), dt),
+                          lambda: log.resampled(dt), lambda: align(trace, trace, dt)):
+            with pytest.raises(InvalidDt, match=message):
+                make_grid()
+
+    @given(span=st.floats(0.0, 1e4), dt=st.floats(1e-3, 10.0))
+    def test_grid_from_zero_is_the_scaled_range(self, span, dt):
+        """Starting at 0.0 adds nothing: 0.0 + k dt == k dt bit for bit."""
+        n = int(np.floor(span / dt + 1e-9))
+        assert uniform_grid(0.0, span, dt).tobytes() == (np.arange(n + 1) * dt).tobytes()
 
     def test_endpoint_preserved_off_grid(self):
         cycle = DriveCycle("c", [0, 1.05], [0.0, 2.1])

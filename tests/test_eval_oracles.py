@@ -299,6 +299,13 @@ class TestInputContract:
         with pytest.raises(InvalidArgument, match=message):
             eval_simplified(simplified_model, *args)
 
+    def test_shapes_that_do_not_broadcast_named(self, semi_model, simplified_model):
+        message = r"^v \(3,\), a \(2,\) and grade \(\) do not broadcast together$"
+        with pytest.raises(InvalidArgument, match=message):
+            evaluate(semi_model, np.zeros(3), np.zeros(2))
+        with pytest.raises(InvalidArgument, match=message):
+            eval_simplified(simplified_model, np.zeros(3), np.zeros(2))
+
     def test_infinities_clamp(self, semi_model, simplified_model):
         v, a = np.array([np.inf, -np.inf, 20.0]), np.array([0.5, 0.5, -np.inf])
         out = evaluate(semi_model, v, a, np.inf)

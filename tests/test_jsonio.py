@@ -103,9 +103,12 @@ class TestReadJson:
 
 
 def test_formats_have_one_module_each():
-    """JSON is read and written only in jsonio, CSV only in csvio."""
+    """JSON is read and written only in jsonio, CSV only in csvio, and the
+    uniform time grid is counted out (``np.floor``) only in trace."""
     for path in sorted(Path(jsonio.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
+        if path.name != "trace.py":
+            assert "np.floor(" not in text, path.name
         if path.name != "jsonio.py":
             assert not re.search(r"json\.(dump|load)\(", text), path.name
         if path.name != "csvio.py":
