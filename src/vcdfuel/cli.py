@@ -8,8 +8,8 @@ same files without reading any of them back:
     simulate        reference traces for every configured cycle
     extract         constants and fitted maps: the map-based model (semi_model.json)
     fit-simplified  reduce it to the polynomial model (simplified_model.json)
-    ingest          post-process dyno logs into (t, v, a) profiles
-    validate        metric reports and comparison CSVs
+    ingest          post-process dyno logs into rig traces (t, v, a and the logged channels)
+    validate        metric reports; with --plots also each pair's comparison CSV and chart
     pipeline        all of the above in order
 
 Everything is deterministic given the config: artifacts carry the tool
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__, dyno, extraction, simplified, synthetic
 from .drive_cycles import load_cycle
-from .dyno import process_log, read_dyno_csv, write_dyno_csv, write_profile
+from .dyno import process_log, read_dyno_csv, write_dyno_csv
 from .errors import MissingPrerequisite, ParseError, VcdFuelError
 from .extraction import VcdDataset, run_vcd
 from .jsonio import read_json, write_json
@@ -180,10 +180,7 @@ def _resolve_vehicle(cfg):
 def _resolve_cycles(cfg):
     if cfg["cycles"] == "builtin":
         return list(builtin_cycles().values())
-    cycles = [load_cycle(_existing(item, "cycle"), unit=cfg["unit"]) for item in cfg["cycles"]]
-    # both would write traces/<name>_reference.csv
-    _unique_names("cycles", "cycle files", [cycle.name for cycle in cycles])
-    return cycles
+    return [load_cycle(_existing(item, "cycle"), unit=cfg["unit"]) for item in cfg["cycles"]]
 
 
 def _existing(path, kind: str) -> Path:
@@ -193,10 +190,23 @@ def _existing(path, kind: str) -> Path:
     return path
 
 
-def _unique_names(key: str, kind: str, names: list[str]) -> None:
-    for name in names:
-        if names.count(name) > 1:
-            raise ParseError(f"config key '{key}': two {kind} named '{name}'")
+def _check_names(cfg) -> None:
+    """Fail before any stage runs on a name that would key two outputs. The
+    names come from the config alone, as ``load_cycle``, ``read_dyno_csv`` and
+    ``make_dyno_log`` give them: built-in names or file stems, ``<cycle>_dyno``."""
+    cycles = (list(builtin_cycles()) if cfg["cycles"] == "builtin"
+              else [Path(item).stem for item in cfg["cycles"]])
+    rigs = ([f"{cfg['dyno_synthetic']['cycle']}_dyno"] if cfg["dyno_logs"] == "synthetic"
+            else [Path(item).stem for item in cfg["dyno_logs"]])
+    # two of a kind would write traces/<name>_* or profiles/<name>_* twice
+    checks = [("cycles", "two cycle files", cycles), ("dyno_logs", "two dyno logs", rigs)]
+    if not cfg.get("validate_pairs"):
+        # both would key the report records <name>_semi and <name>_simplified
+        checks.append(("dyno_logs", "a cycle and a dyno log", cycles + rigs))
+    for key, what, names in checks:
+        for name in names:
+            if names.count(name) > 1:
+                raise ParseError(f"config key '{key}': {what} named '{name}'")
 
 
 def _out_dir(cfg, args) -> Path:
@@ -313,17 +323,14 @@ def cmd_ingest(cfg, args, run=None) -> int:
         logs = [log]
     else:
         logs = [read_dyno_csv(_existing(item, "dyno log")) for item in cfg["dyno_logs"]]
-        # both would write profiles/<name>_*.csv
-        _unique_names("dyno_logs", "dyno logs", [log.name for log in logs])
     rig_traces = run["rig_traces"] = {}
     for log in logs:
         profile = process_log(log, dt=cfg["dt"], **cfg["smoothing"])
         profile.provenance.update(_provenance(cfg))
         trace = rig_traces[log.name] = profile.trace
-        csv_path = profiles_dir / f"{log.name}_profile.csv"
-        write_profile(trace, csv_path)
+        csv_path = profiles_dir / f"{log.name}_trace.csv"
         write_json(profiles_dir / f"{log.name}_profile.json", profile.provenance)
-        write_trace_csv(trace, profiles_dir / f"{log.name}_trace.csv")
+        write_trace_csv(trace, csv_path)
         print(f"wrote {csv_path} (smoothing steps {profile.provenance['smoothing_steps']}, "
               f"peak |a| {profile.provenance['max_abs_accel_before_clip']:.2f} m/s2)")
     return 0
@@ -380,7 +387,7 @@ def cmd_validate(cfg, args, run=None) -> int:
             semi_tr, simp_tr = _model_traces_for(semi, simp, rig, rig.name)
             pairs.append((f"{rig.name}_semi", rig, semi_tr))
             pairs.append((f"{rig.name}_simplified", rig, simp_tr))
-    report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir, plots=args.plots)
+    report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir if args.plots else None)
     _write_artifact(cfg, reports_dir / "report.json", report.to_dict())
     table = report.format_table()
     with open(reports_dir / "report.txt", "w", encoding="utf-8") as f:
@@ -411,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", cmd_simulate, "run the reference vehicle over the configured cycles"),
         ("extract", cmd_extract, "extract constants and fitted maps into the map-based model"),
         ("fit-simplified", cmd_fit_simplified, "fit the polynomial model"),
-        ("ingest", cmd_ingest, "post-process dyno logs into (t, v, a) profiles"),
-        ("validate", cmd_validate, "compute metric reports and comparison CSVs"),
+        ("ingest", cmd_ingest, "post-process dyno logs into rig traces"),
+        ("validate", cmd_validate, "compute metric reports"),
         ("pipeline", cmd_pipeline, "run every stage in order"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -420,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default from config, else ./out)")
         p.add_argument("--unit", choices=_UNITS, help="cycle CSV speed unit")
         p.add_argument("--dt", type=float, help="simulation/metric grid step [s]")
-        p.add_argument("--plots", action="store_true", help="also render SVG line charts")
+        p.add_argument("--plots", action="store_true",
+                       help="also write each validation pair's comparison CSV and SVG chart")
         p.set_defaults(func=fn)
     return parser
 
@@ -429,11 +437,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"unit": args.unit, "dt": args.dt})
+        _check_names(cfg)
         return args.func(cfg, args)
-    except MissingPrerequisite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (MissingPrerequisite, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VcdFuelError as exc:

@@ -277,8 +277,3 @@ def process_log(log: DynoLog, dt: float = DT, bound: float = ACCEL_BOUND,
         "hot_window_s": [t_start, t_end],
         "dt": dt,
     })
-
-
-def write_profile(trace: Trace, csv_path) -> None:
-    """The (t, v, a) columns of a processed rig trace."""
-    write_columns(csv_path, {"t": trace.t, "v_mps": trace.v, "a_mps2": trace.a}, "%r")

@@ -195,15 +195,15 @@ def write_comparison_csv(pair: AlignedPair, path) -> None:
 
 
 def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = DT,
-                 out_dir=None, plots: bool = False) -> ValidationReport:
+                 out_dir=None) -> ValidationReport:
     """Metrics for every (cycle, reference, model) pair.
 
-    With out_dir set, also writes `<cycle>_<model>_vs_<ref>.csv` comparison
-    files next to the report for plotting, and with plots also set, a
-    `<cycle>_fuel.svg` chart of each pair's fuel rate.
+    With out_dir set, also writes each pair's chart data there: the
+    `<cycle>_<model>_vs_<ref>.csv` comparison file and a `<cycle>_fuel.svg`
+    chart of its fuel rate.
     """
     if not pairs:
-        raise ValueError("need at least one pair")
+        raise InvalidArgument("build_report needs at least one pair")
     names = [cycle for cycle, _, _ in pairs]
     for name in names:
         if names.count(name) > 1:
@@ -214,10 +214,8 @@ def build_report(pairs: list[tuple[str, Trace, Trace]], dt: float = DT,
         pair = align(ref, model, dt)
         records.append(_pair_metrics(cycle, ref, model, pair, dt))
         if out_dir is not None:
-            path = Path(out_dir) / f"{cycle}_{model.name}_vs_{ref.name}.csv"
-            write_comparison_csv(pair, path)
-            if plots:
-                _write_svg_panel(pair, Path(out_dir) / f"{cycle}_fuel.svg")
+            write_comparison_csv(pair, Path(out_dir) / f"{cycle}_{model.name}_vs_{ref.name}.csv")
+            _write_svg_panel(pair, Path(out_dir) / f"{cycle}_fuel.svg")
     return ValidationReport(records=records)
 
 

@@ -69,7 +69,9 @@ class TestStages:
         for artifact in ("semi_model.json", "simplified_model.json"):
             assert (pipeline_out / artifact).exists()
         assert (pipeline_out / "reports" / "report.json").exists()
-        assert list((pipeline_out / "profiles").glob("*_profile.csv"))
+        # the rig's (t, v, a) columns live in its trace file only
+        assert not list((pipeline_out / "profiles").glob("*_profile.csv"))
+        assert (pipeline_out / "profiles" / "cruise_dyno_trace.csv").exists()
 
     def test_artifacts_carry_provenance(self, pipeline_out):
         for artifact in ("semi_model.json", "simplified_model.json"):
@@ -252,8 +254,21 @@ class TestBadInputsExit1:
                                    "dyno_logs": [str(tmp_path / "rig" / "cruise.csv")]}))
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out), "--plots"]) == 1
-        assert capsys.readouterr().err == "error: two validation pairs named 'cruise_semi'\n"
-        assert list((out / "reports").iterdir()) == []
+        assert capsys.readouterr().err == \
+            "error: config key 'dyno_logs': a cycle and a dyno log named 'cruise'\n"
+        assert not out.exists()
+
+    def test_rig_log_named_like_a_cycle_with_validate_pairs(self, tmp_path):
+        # explicit pairs key the report, so the rig's name keys nothing twice
+        save_cycle(cruise_cycle(), tmp_path / "cruise.csv")
+        good = tmp_path / "good.csv"
+        good.write_text(GOOD_TRACE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "cycles": [str(tmp_path / "cruise.csv")],
+            "dyno_logs": [str(tmp_path / "rig" / "cruise.csv")],
+            "validate_pairs": [{"name": "pair", "ref": str(good), "model": str(good)}]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_two_dyno_logs_with_one_name(self, tmp_path, capsys):
         log = make_dyno_log(cruise_cycle(), default_vehicle(), seed=5)
@@ -267,7 +282,7 @@ class TestBadInputsExit1:
         assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             "error: config key 'dyno_logs': two dyno logs named 'x'\n"
-        assert list((out / "profiles").iterdir()) == []
+        assert not out.exists()
 
     def test_repeated_validate_pairs_name(self, tmp_path, capsys):
         good = tmp_path / "good.csv"
@@ -628,6 +643,43 @@ class TestPlotsAndDynoPairs:
             f"{cycle}_fuel.svg" for cycle in pairs)
 
 
+BUILTIN_ARTIFACTS = sorted([
+    *(f"traces/{cycle}_{kind}.csv" for cycle in ("aggressive", "cruise", "urban")
+      for kind in ("reference", "semi", "simplified")),
+    "traces/manifest.json", "semi_model.json", "simplified_model.json",
+    "profiles/cruise_dyno_raw.csv", "profiles/cruise_dyno_profile.json",
+    "profiles/cruise_dyno_trace.csv", "reports/report.json", "reports/report.txt"])
+
+
+class TestArtifactSet:
+    def test_builtin_pipeline_writes_exactly_these_files(self, pipeline_out):
+        assert sorted(tree(pipeline_out)) == BUILTIN_ARTIFACTS
+
+    def test_plots_only_add_chart_data(self, pipeline_out, tmp_path):
+        assert main(["pipeline", "--out", str(tmp_path), "--plots"]) == 0
+        plain, plots = tree(pipeline_out), tree(tmp_path)
+        # every file of the plain run is there, byte for byte
+        assert {rel: plots.get(rel) for rel in plain} == plain
+        added = sorted(set(plots) - set(plain))
+        records = json.loads(plain["reports/report.json"])["records"]
+        assert len(records) == 11
+        assert [rel for rel in added if rel.endswith(".svg")] == sorted(
+            f"reports/{cycle}_fuel.svg" for cycle in records)
+        csvs = [rel for rel in added if rel.endswith(".csv")]
+        assert len(csvs) == 11 and all(rel.startswith("reports/") and "_vs_" in rel
+                                       for rel in csvs)
+        assert len(added) == 22
+
+    def test_rig_trace_holds_the_processed_profile(self, pipeline_out):
+        # what profiles/<rig>_profile.csv held: the t, v, a columns of the rig trace
+        syn = dict(DEFAULT_CONFIG["dyno_synthetic"])
+        log = make_dyno_log(builtin_cycles()[syn.pop("cycle")], default_vehicle(), **syn)
+        expected = process_log(log, dt=DEFAULT_CONFIG["dt"], **DEFAULT_CONFIG["smoothing"]).trace
+        on_disk = read_trace_csv(pipeline_out / "profiles" / "cruise_dyno_trace.csv")
+        for col in ("t", "v", "a"):
+            assert getattr(on_disk, col).tobytes() == getattr(expected, col).tobytes(), col
+
+
 class TestUserSuppliedInputs:
     def test_simulate_with_kph_cycle_files(self, tmp_path):
         cycle_path = tmp_path / "short.csv"
@@ -663,5 +715,6 @@ class TestUserSuppliedInputs:
         cfg.write_text(json.dumps({"dyno_logs": [str(log_path)]}))
         out = tmp_path / "out"
         assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "profiles" / "rig_profile.csv").exists()
+        assert (out / "profiles" / "rig_trace.csv").exists()
         assert (out / "profiles" / "rig_profile.json").exists()
+        assert not (out / "profiles" / "rig_profile.csv").exists()

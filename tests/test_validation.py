@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vcdfuel.errors import LengthMismatch, NoOverlap, ZeroReference
+from vcdfuel.errors import InvalidArgument, LengthMismatch, NoOverlap, ZeroReference
 from vcdfuel.jsonio import write_json
 from vcdfuel.trace import Trace
 from vcdfuel.validation import (
@@ -229,10 +229,19 @@ class TestBuildReport:
         assert "MAE fuel" in table.splitlines()[0]
         assert len(table.splitlines()) == 3
 
-    def test_comparison_csv_emitted(self, tmp_path):
+    def test_comparison_csv_emitted(self, tmp_path, monkeypatch):
         pairs = [self._pair(np.random.default_rng(59), name="cyc")]
+        # chart data is written only into an explicit out_dir
+        monkeypatch.chdir(tmp_path)
+        build_report(pairs)
+        assert list(tmp_path.iterdir()) == []
         build_report(pairs, out_dir=tmp_path)
         files = list(tmp_path.glob("cyc_*_vs_*.csv"))
         assert len(files) == 1
         header = files[0].read_text().splitlines()[0].split(",")
         assert "fuel_ref_gps" in header and "cumfuel_model_g" in header
+        assert (tmp_path / "cyc_fuel.svg").exists()
+
+    def test_empty_report_is_a_named_error(self):
+        with pytest.raises(InvalidArgument, match="at least one pair"):
+            build_report([])
