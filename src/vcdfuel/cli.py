@@ -1,9 +1,10 @@
 """Command-line pipeline driver.
 
-Each subcommand runs one stage. Run alone, a stage reads its predecessor's
-artifacts from the output directory, so stages can be rerun independently;
-``pipeline`` hands each stage's outputs to the next in memory and writes the
-same files without reading any of them back:
+Each subcommand runs one stage on a ``Run``, which carries the config, the
+output directory and the products stages hand on. Run alone, a stage reads
+a predecessor's product from the output directory when it first asks for
+it, so stages can be rerun independently; ``pipeline`` passes one ``Run``
+through every stage and writes the same files without reading any back:
 
     simulate        reference traces for every configured cycle
     extract         constants and fitted maps: the map-based model (semi_model.json)
@@ -24,6 +25,7 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__, dyno, extraction, simplified, synthetic
@@ -171,18 +173,6 @@ def _write_artifact(cfg: dict, path: Path, doc: dict) -> None:
     write_json(path, doc)
 
 
-def _resolve_vehicle(cfg):
-    if cfg["vehicle"] == "builtin":
-        return default_vehicle()
-    return load_vehicle(_existing(cfg["vehicle"], "vehicle"))
-
-
-def _resolve_cycles(cfg):
-    if cfg["cycles"] == "builtin":
-        return list(builtin_cycles().values())
-    return [load_cycle(_existing(item, "cycle"), unit=cfg["unit"]) for item in cfg["cycles"]]
-
-
 def _existing(path, kind: str) -> Path:
     path = Path(path)
     if not path.exists():
@@ -209,47 +199,7 @@ def _check_names(cfg) -> None:
                 raise ParseError(f"config key '{key}': {what} named '{name}'")
 
 
-def _out_dir(cfg, args) -> Path:
-    out = Path(args.out or cfg.get("out_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _require(path: Path, produced_by: str) -> Path:
-    if not path.exists():
-        raise MissingPrerequisite(f"missing {path.name}; run `vcdfuel {produced_by}` first")
-    return path
-
-
 # --- stages -------------------------------------------------------------------
-#
-# Each stage takes ``run``, the dict through which ``pipeline`` hands one
-# stage's outputs to the next: "vehicle" and "dataset" (simulate), "semi"
-# (extract), "simplified" (fit-simplified) and "rig_traces" (ingest, keyed by
-# log name). A stage reads its predecessor's file only when ``run`` lacks
-# the object; run alone, a stage gets ``run=None`` and reads everything.
-
-def _vehicle(cfg, run: dict) -> ReferenceVehicle:
-    if "vehicle" not in run:
-        run["vehicle"] = _resolve_vehicle(cfg)
-    return run["vehicle"]
-
-
-def cmd_simulate(cfg, args, run=None) -> int:
-    run = {} if run is None else run
-    out = _out_dir(cfg, args)
-    vehicle = _vehicle(cfg, run)
-    cycles = _resolve_cycles(cfg)
-    traces_dir = out / "traces"
-    traces_dir.mkdir(exist_ok=True)
-    ds = run["dataset"] = run_vcd(vehicle, cycles, dt=cfg["dt"])
-    for trace in ds.traces:
-        write_trace_csv(trace, traces_dir / f"{trace.name}_reference.csv")
-        print(f"wrote {traces_dir / (trace.name + '_reference.csv')}")
-    _write_artifact(cfg, traces_dir / "manifest.json",
-                    {"cycles": [tr.name for tr in ds.traces], "dt": cfg["dt"]})
-    return 0
-
 
 def _manifest_cycles(doc) -> list[str]:
     names = doc["cycles"]
@@ -258,107 +208,137 @@ def _manifest_cycles(doc) -> list[str]:
     return names
 
 
-def _read_manifest(out: Path) -> list[str]:
-    """Names of the simulated cycles, from ``traces/manifest.json``."""
-    return read_json(_require(out / "traces" / "manifest.json", "simulate"), _manifest_cycles)
+class Run:
+    """One command's config, output directory ``out`` and ``--plots`` flag,
+    and the products its stages hand on: ``vehicle`` and ``dataset``
+    (simulate), ``semi`` (extract), ``simplified`` (fit-simplified) and
+    ``rig_traces`` (ingest, keyed by log name). A stage that makes a product
+    assigns it; any other is read from ``out`` the first time a stage asks
+    for it. So ``pipeline`` reads back nothing it wrote, and a stage run
+    alone reads each artifact it uses once."""
+
+    def __init__(self, cfg: dict, args):
+        self.cfg = cfg
+        self.plots = args.plots
+        self.out = Path(args.out or cfg.get("out_dir", "out"))
+        self.out.mkdir(parents=True, exist_ok=True)
+
+    def artifact(self, name: str, produced_by: str) -> Path:
+        """``out/<name>``, which stage ``produced_by`` writes."""
+        path = self.out / name
+        if not path.exists():
+            raise MissingPrerequisite(f"missing {path.name}; run `vcdfuel {produced_by}` first")
+        return path
+
+    @cached_property
+    def vehicle(self) -> ReferenceVehicle:
+        if self.cfg["vehicle"] == "builtin":
+            return default_vehicle()
+        return load_vehicle(_existing(self.cfg["vehicle"], "vehicle"))
+
+    @cached_property
+    def dataset(self) -> VcdDataset:
+        names = read_json(self.artifact("traces/manifest.json", "simulate"), _manifest_cycles)
+        return VcdDataset.from_traces(self.vehicle.params, [
+            read_trace_csv(self.artifact(f"traces/{name}_reference.csv", "simulate"), name=name)
+            for name in names])
+
+    @cached_property
+    def semi(self):
+        return load_semi_model(self.artifact("semi_model.json", "extract"))
+
+    @cached_property
+    def simplified(self):
+        return load_simplified(self.artifact("simplified_model.json", "fit-simplified"))
+
+    @cached_property
+    def rig_traces(self) -> dict[str, Trace]:
+        traces = [read_trace_csv(path, name=path.stem.removesuffix("_trace"))
+                  for path in (self.out / "profiles").glob("*_trace.csv")]
+        return {trace.name: trace for trace in traces}
 
 
-def _dataset(cfg, out: Path, run: dict) -> VcdDataset:
-    if "dataset" not in run:
-        traces = [read_trace_csv(_require(out / "traces" / f"{name}_reference.csv", "simulate"),
-                                 name=name) for name in _read_manifest(out)]
-        run["dataset"] = VcdDataset.from_traces(_vehicle(cfg, run).params, traces)
-    return run["dataset"]
+def cmd_simulate(run: Run) -> None:
+    cfg = run.cfg
+    vehicle = run.vehicle
+    if cfg["cycles"] == "builtin":
+        cycles = list(builtin_cycles().values())
+    else:
+        cycles = [load_cycle(_existing(item, "cycle"), unit=cfg["unit"]) for item in cfg["cycles"]]
+    traces_dir = run.out / "traces"
+    traces_dir.mkdir(exist_ok=True)
+    ds = run.dataset = run_vcd(vehicle, cycles, dt=cfg["dt"])
+    for trace in ds.traces:
+        write_trace_csv(trace, traces_dir / f"{trace.name}_reference.csv")
+        print(f"wrote {traces_dir / (trace.name + '_reference.csv')}")
+    _write_artifact(cfg, traces_dir / "manifest.json",
+                    {"cycles": [tr.name for tr in ds.traces], "dt": cfg["dt"]})
 
 
-def _semi(out: Path, run: dict):
-    if "semi" not in run:
-        run["semi"] = load_semi_model(_require(out / "semi_model.json", "extract"))
-    return run["semi"]
-
-
-def cmd_extract(cfg, args, run=None) -> int:
-    run = {} if run is None else run
-    out = _out_dir(cfg, args)
-    ds = _dataset(cfg, out, run)
-    model = run["semi"] = build_semi_model_from_dataset(
-        ds, _vehicle(cfg, run).shift_maps,
+def cmd_extract(run: Run) -> None:
+    cfg = run.cfg
+    ds = run.dataset
+    model = run.semi = build_semi_model_from_dataset(
+        ds, run.vehicle.shift_maps,
         fuel_degree=tuple(cfg["fuel_map_degree"]),
         gear_degree=tuple(cfg["gear_map_degree"]),
         min_gear_samples=cfg["min_gear_samples"],
         dt=cfg["dt"])
-    _write_artifact(cfg, out / "semi_model.json",
+    _write_artifact(cfg, run.out / "semi_model.json",
                     {**model_to_dict(model), "events": len(ds.events)})
-    print(f"wrote {out / 'semi_model.json'} "
+    print(f"wrote {run.out / 'semi_model.json'} "
           f"(idle fuel {model.constants.idle_fuel:.4f} g/s, "
           f"cut speed {model.constants.cut_speed:.2f} m/s)")
-    return 0
 
 
-def cmd_fit_simplified(cfg, args, run=None) -> int:
-    run = {} if run is None else run
-    out = _out_dir(cfg, args)
-    semi = _semi(out, run)
+def cmd_fit_simplified(run: Run) -> None:
+    semi = run.semi
     grid = FitGrid(v_range=(0.0, semi.speed_max),
-                   **{key: tuple(val) for key, val in cfg["grid"].items()})
-    model = run["simplified"] = fit_simplified(semi, grid, degrees=cfg["degrees"])
-    _write_artifact(cfg, out / "simplified_model.json", simplified_to_dict(model))
+                   **{key: tuple(val) for key, val in run.cfg["grid"].items()})
+    model = run.simplified = fit_simplified(semi, grid, degrees=run.cfg["degrees"])
+    _write_artifact(run.cfg, run.out / "simplified_model.json", simplified_to_dict(model))
     diag = model.diagnostics
-    print(f"wrote {out / 'simplified_model.json'} "
+    print(f"wrote {run.out / 'simplified_model.json'} "
           f"(L2 {diag['l2_error']:.4f} g/s, max {diag['max_error']:.4f} g/s)")
-    return 0
 
 
-def cmd_ingest(cfg, args, run=None) -> int:
-    run = {} if run is None else run
-    out = _out_dir(cfg, args)
-    profiles_dir = out / "profiles"
+def cmd_ingest(run: Run) -> None:
+    cfg = run.cfg
+    profiles_dir = run.out / "profiles"
     profiles_dir.mkdir(exist_ok=True)
     if cfg["dyno_logs"] == "synthetic":
         syn = dict(cfg["dyno_synthetic"])
-        log = make_dyno_log(builtin_cycles()[syn.pop("cycle")], _vehicle(cfg, run), **syn)
-        raw_path = out / "profiles" / f"{log.name}_raw.csv"
+        log = make_dyno_log(builtin_cycles()[syn.pop("cycle")], run.vehicle, **syn)
+        raw_path = profiles_dir / f"{log.name}_raw.csv"
         write_dyno_csv(log, raw_path)
         print(f"wrote {raw_path} (synthetic rig recording)")
         logs = [log]
     else:
         logs = [read_dyno_csv(_existing(item, "dyno log")) for item in cfg["dyno_logs"]]
-    rig_traces = run["rig_traces"] = {}
+    run.rig_traces = {}
     for log in logs:
         profile = process_log(log, dt=cfg["dt"], **cfg["smoothing"])
         profile.provenance.update(_provenance(cfg))
-        trace = rig_traces[log.name] = profile.trace
+        trace = run.rig_traces[log.name] = profile.trace
         csv_path = profiles_dir / f"{log.name}_trace.csv"
         write_json(profiles_dir / f"{log.name}_profile.json", profile.provenance)
         write_trace_csv(trace, csv_path)
         print(f"wrote {csv_path} (smoothing steps {profile.provenance['smoothing_steps']}, "
               f"peak |a| {profile.provenance['max_abs_accel_before_clip']:.2f} m/s2)")
-    return 0
 
 
 def _model_traces_for(semi, simp, base: Trace, tag: str):
     """Evaluate both reduced models on a (t, v, a) profile."""
+    base.require("a")
     grade = base.grade if base.grade is not None else 0.0
     semi_tr = eval_semi_trace(semi, base.t, base.v, base.a, grade, name=f"semi_{tag}")
     simp_tr = eval_simplified_trace(simp, base.t, base.v, base.a, grade, name=f"simplified_{tag}")
     return semi_tr, simp_tr
 
 
-def _rig_traces(out: Path, run: dict) -> list[Trace]:
-    """Ingested rig traces in the order of their ``<name>_trace.csv`` files."""
-    if "rig_traces" not in run:
-        run["rig_traces"] = {}
-        for path in (out / "profiles").glob("*_trace.csv"):
-            name = path.stem.removesuffix("_trace")
-            run["rig_traces"][name] = read_trace_csv(path, name=name)
-    return [trace for _, trace in sorted(run["rig_traces"].items(),
-                                          key=lambda item: f"{item[0]}_trace.csv")]
-
-
-def cmd_validate(cfg, args, run=None) -> int:
-    run = {} if run is None else run
-    out = _out_dir(cfg, args)
-    reports_dir = out / "reports"
+def cmd_validate(run: Run) -> None:
+    cfg = run.cfg
+    reports_dir = run.out / "reports"
     reports_dir.mkdir(exist_ok=True)
     pairs = []
     if cfg.get("validate_pairs"):
@@ -367,44 +347,36 @@ def cmd_validate(cfg, args, run=None) -> int:
             model = read_trace_csv(_existing(entry["model"], "model trace"))
             pairs.append((entry["name"], ref, model))
     else:
-        semi = _semi(out, run)
-        if "simplified" not in run:
-            run["simplified"] = load_simplified(
-                _require(out / "simplified_model.json", "fit-simplified"))
-        simp = run["simplified"]
-        for ref in _dataset(cfg, out, run).traces:
+        semi, simp = run.semi, run.simplified
+        for ref in run.dataset.traces:
             name = ref.name
             ref = replace(ref, name=f"{name}_reference")
             semi_tr, simp_tr = _model_traces_for(semi, simp, ref, name)
-            write_trace_csv(semi_tr, out / "traces" / f"{name}_semi.csv")
-            write_trace_csv(simp_tr, out / "traces" / f"{name}_simplified.csv")
+            write_trace_csv(semi_tr, run.out / "traces" / f"{name}_semi.csv")
+            write_trace_csv(simp_tr, run.out / "traces" / f"{name}_simplified.csv")
             pairs.append((f"{name}_semi", ref, semi_tr))
             pairs.append((f"{name}_simplified", ref, simp_tr))
             pairs.append((f"{name}_closure", semi_tr, simp_tr))
-        # ingested rig recordings are compared the same way: both models
-        # replay the processed (t, v, a) profile
-        for rig in _rig_traces(out, run):
+        # ingested rig recordings are compared the same way, in the order of
+        # their <name>_trace.csv files: both models replay the processed
+        # (t, v, a) profile
+        for rig in sorted(run.rig_traces.values(), key=lambda rig: f"{rig.name}_trace.csv"):
             semi_tr, simp_tr = _model_traces_for(semi, simp, rig, rig.name)
             pairs.append((f"{rig.name}_semi", rig, semi_tr))
             pairs.append((f"{rig.name}_simplified", rig, simp_tr))
-    report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir if args.plots else None)
+    report = build_report(pairs, dt=cfg["dt"], out_dir=reports_dir if run.plots else None)
     _write_artifact(cfg, reports_dir / "report.json", report.to_dict())
     table = report.format_table()
     with open(reports_dir / "report.txt", "w", encoding="utf-8") as f:
         f.write(table + "\n")
     print(table)
-    return 0
 
 
-def cmd_pipeline(cfg, args) -> int:
-    run = {}
+def cmd_pipeline(run: Run) -> None:
     # stages are looked up as module globals at call time, so wrappers
     # installed on this module (stage timing) see every call
     for stage in (cmd_simulate, cmd_extract, cmd_fit_simplified, cmd_ingest, cmd_validate):
-        code = stage(cfg, args, run)
-        if code != 0:
-            return code
-    return 0
+        stage(run)
 
 
 # --- entry ----------------------------------------------------------------
@@ -438,13 +410,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, {"unit": args.unit, "dt": args.dt})
         _check_names(cfg)
-        return args.func(cfg, args)
+        args.func(Run(cfg, args))
     except (MissingPrerequisite, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VcdFuelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

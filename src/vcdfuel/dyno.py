@@ -165,8 +165,6 @@ def clip_outliers(series, fraction: float = CLIP_FRACTION) -> np.ndarray:
     if not 0.0 <= fraction < 0.5:
         raise InvalidArgument(f"clip fraction must be in [0, 0.5), got {fraction}")
     s = np.asarray(series, dtype=float)
-    if fraction == 0.0:
-        return s.copy()
     lo = percentile(s, 100.0 * fraction)
     hi = percentile(s, 100.0 * (1.0 - fraction))
     return np.clip(s, lo, hi)

@@ -18,7 +18,6 @@ import numpy as np
 from .drive_cycles import DriveCycle
 from .errors import (
     DegreeTooHigh,
-    InsufficientData,
     InsufficientGearData,
     InvalidArgument,
     NoDownshiftData,
@@ -53,6 +52,9 @@ GEAR_MAP_DEGREE = (1, 1)  # (output speed, wheel force)
 MAX_MAP_DEGREE = 4        # cap on a map's total degree
 MIN_GEAR_SAMPLES = 50     # rows each gear's maps need
 
+# the columns ``VcdDataset.stacked`` concatenates; shift events also read pedal
+STACKED_COLUMNS = ("v", "a", "grade", "gear", "engine_speed", "engine_torque", "fuel")
+
 
 def percentile(values, q: float) -> float:
     """Linear-interpolated (inclusive) order statistic, the convention used
@@ -81,8 +83,11 @@ class VcdDataset:
     @classmethod
     def from_traces(cls, params: VehicleParams, traces) -> "VcdDataset":
         """Dataset of simulated, re-read or rig-recorded traces, with the
-        shift events found in each."""
+        shift events found in each. A trace without a column extraction
+        reads raises InsufficientData naming it."""
         traces = list(traces)
+        for tr in traces:
+            tr.require(*STACKED_COLUMNS, "pedal")
         return cls(params=params, traces=traces,
                    events=[ev for tr in traces for ev in detect_shift_events(tr)])
 
@@ -92,17 +97,12 @@ class VcdDataset:
         A trace without flags (a rig recording) reads as all zeros; a trace
         without any other column raises InsufficientData naming it.
         """
-        cols = {}
-        for name in ("v", "a", "grade", "gear", "engine_speed", "engine_torque", "fuel", "flags"):
-            parts = []
-            for tr in self.traces:
-                col = getattr(tr, name)
-                if col is None and name == "flags":
-                    col = np.zeros(len(tr), dtype=int)
-                elif col is None:
-                    raise InsufficientData(f"trace '{tr.name}' has no '{name}' column")
-                parts.append(col)
-            cols[name] = np.concatenate(parts)
+        for tr in self.traces:
+            tr.require(*STACKED_COLUMNS)
+        cols = {name: np.concatenate([getattr(tr, name) for tr in self.traces])
+                for name in STACKED_COLUMNS}
+        cols["flags"] = np.concatenate([np.zeros(len(tr), dtype=int) if tr.flags is None
+                                        else tr.flags for tr in self.traces])
         cols["output_speed"] = transmission_output_speed(self.params, cols["v"])
         cols["wheel_force"] = wheel_force(self.params, cols["v"], cols["a"], cols["grade"],
                                           cols["gear"])
@@ -279,7 +279,8 @@ class PolyMap2D:
         object.__setattr__(self, "coeffs_std", np.asarray(self.coeffs_std, dtype=float))
         d1, d2 = self.degree
         if self.coeffs_std.shape != (d1 + 1, d2 + 1):
-            raise ValueError("coefficient matrix shape does not match degree")
+            raise InvalidArgument("coefficient matrix shape does not match degree, got "
+                                  f"{self.coeffs_std.shape} for degree {tuple(self.degree)}")
 
     def evaluate(self, x, y, clamp: bool = False):
         x = np.asarray(x, dtype=float)
@@ -351,9 +352,12 @@ def fit_poly2d(xs, ys, zs, degree: tuple[int, int], domain=None) -> PolyMap2D:
     y = np.asarray(ys, dtype=float).ravel()
     z = np.asarray(zs, dtype=float).ravel()
     if not (x.size == y.size == z.size):
-        raise ValueError("xs, ys, zs must have equal lengths")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-        raise ValueError("fit inputs must be finite")
+        raise InvalidArgument(f"xs, ys, zs must have equal lengths, got {x.size}, {y.size} "
+                              f"and {z.size}")
+    for name, col in (("xs", x), ("ys", y), ("zs", z)):
+        bad = col[~np.isfinite(col)]
+        if bad.size:
+            raise InvalidArgument(f"fit inputs must be finite, got {bad[0]} in {name}")
     n_coeffs = (d1 + 1) * (d2 + 1)
     if x.size < n_coeffs:
         raise RankDeficient(f"{x.size} samples cannot determine {n_coeffs} coefficients")

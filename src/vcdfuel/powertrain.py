@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drive_cycles import DriveCycle, resample
-from .errors import GearOutOfRange
+from .errors import GearOutOfRange, InvalidArgument
 from .jsonio import read_json, write_json
 from .trace import DT, FLAG_ENVELOPE, Trace
 
@@ -57,17 +57,24 @@ class VehicleParams:
         object.__setattr__(self, "gear_masses", np.asarray(self.gear_masses, dtype=float))
         object.__setattr__(self, "gear_ratios", np.asarray(self.gear_ratios, dtype=float))
         if len(self.gear_masses) != len(self.gear_ratios):
-            raise ValueError("gear_masses and gear_ratios must have the same length")
-        if self.mass <= 0 or np.any(self.gear_masses <= 0):
-            raise ValueError("masses must be positive")
+            raise InvalidArgument("gear_masses and gear_ratios must have the same length, got "
+                                  f"{len(self.gear_masses)} and {len(self.gear_ratios)}")
+        if self.mass <= 0:
+            raise InvalidArgument(f"masses must be positive, got mass {self.mass}")
+        if np.any(self.gear_masses <= 0):
+            raise InvalidArgument("masses must be positive, got gear_masses "
+                                  f"{self.gear_masses.tolist()}")
         if self.tire_radius <= 0 or self.final_drive <= 0:
-            raise ValueError("tire_radius and final_drive must be positive")
+            raise InvalidArgument("tire_radius and final_drive must be positive, got "
+                                  f"{self.tire_radius} and {self.final_drive}")
         if np.any(np.diff(self.gear_ratios) >= 0):
-            raise ValueError("gear_ratios must be strictly decreasing")
+            raise InvalidArgument("gear_ratios must be strictly decreasing, got "
+                                  f"{self.gear_ratios.tolist()}")
         if not (self.engine_speed_max > self.engine_speed_idle > 0):
-            raise ValueError("need engine_speed_max > engine_speed_idle > 0")
+            raise InvalidArgument("need engine_speed_max > engine_speed_idle > 0, got "
+                                  f"max {self.engine_speed_max}, idle {self.engine_speed_idle}")
         if not 0 < self.driveline_eff <= 1:
-            raise ValueError("driveline_eff must be in (0, 1]")
+            raise InvalidArgument(f"driveline_eff must be in (0, 1], got {self.driveline_eff}")
 
     @property
     def n_gears(self) -> int:
@@ -86,14 +93,18 @@ class EngineFuelMap:
         object.__setattr__(self, "speed_grid", np.asarray(self.speed_grid, dtype=float))
         object.__setattr__(self, "torque_grid", np.asarray(self.torque_grid, dtype=float))
         object.__setattr__(self, "fuel", np.asarray(self.fuel, dtype=float))
-        if np.any(np.diff(self.speed_grid) <= 0) or np.any(np.diff(self.torque_grid) <= 0):
-            raise ValueError("fuel map grids must be strictly ascending")
+        for name in ("speed_grid", "torque_grid"):
+            if np.any(np.diff(getattr(self, name)) <= 0):
+                raise InvalidArgument("fuel map grids must be strictly ascending, got "
+                                      f"{name} {getattr(self, name).tolist()}")
         if self.fuel.shape != (self.speed_grid.size, self.torque_grid.size):
-            raise ValueError("fuel table shape does not match grids")
+            raise InvalidArgument(f"fuel table shape does not match grids, got {self.fuel.shape} "
+                                  f"for {self.speed_grid.size} x {self.torque_grid.size} grids")
         if np.any(self.fuel < 0):
-            raise ValueError("fuel map must be nonnegative")
+            raise InvalidArgument(f"fuel map must be nonnegative, got {self.fuel.min()}")
         if np.any(np.diff(self.fuel, axis=1) < -1e-12):
-            raise ValueError("fuel map must be non-decreasing in torque at fixed speed")
+            raise InvalidArgument("fuel map must be non-decreasing in torque at fixed speed, "
+                                  f"got a step of {np.diff(self.fuel, axis=1).min()}")
 
     @classmethod
     def from_affine_power(cls, speed_grid, torque_grid, power_gain: float,
@@ -151,13 +162,16 @@ class GearShiftMaps:
         for name in ("upshift_speeds", "downshift_speeds", "torque_curve_speed", "torque_curve"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.upshift_speeds.size != self.downshift_speeds.size:
-            raise ValueError("upshift and downshift tables must have the same length")
+            raise InvalidArgument("upshift and downshift tables must have the same length, got "
+                                  f"{self.upshift_speeds.size} and {self.downshift_speeds.size}")
         if np.any(self.downshift_speeds >= self.upshift_speeds):
-            raise ValueError("hysteresis band empty: need downshift < upshift everywhere")
-        if np.any(np.diff(self.upshift_speeds) <= 0) or np.any(np.diff(self.downshift_speeds) <= 0):
-            raise ValueError("shift speed tables must be ascending")
-        if np.any(np.diff(self.torque_curve_speed) <= 0):
-            raise ValueError("torque curve speeds must be ascending")
+            raise InvalidArgument("hysteresis band empty: need downshift < upshift everywhere, got "
+                                  f"downshift_speeds {self.downshift_speeds.tolist()}, "
+                                  f"upshift_speeds {self.upshift_speeds.tolist()}")
+        for name in ("upshift_speeds", "downshift_speeds", "torque_curve_speed"):
+            values = getattr(self, name)
+            if np.any(np.diff(values) <= 0):
+                raise InvalidArgument(f"{name} must be ascending, got {values.tolist()}")
 
     def v_upshift(self, pedal: float, gear: int) -> float:
         """Speed above which `gear` shifts up; +inf for the top gear."""
@@ -172,11 +186,10 @@ class GearShiftMaps:
         return float(self.downshift_speeds[gear - 2] * (1.0 + self.pedal_gain * pedal))
 
     def gear_from_speed(self, pedal, v):
-        """Automatic upshift map: target gear for a (pedal, speed) point."""
+        """Automatic upshift map: target gear at each (pedal, speed) point."""
         scale = 1.0 + self.pedal_gain * np.asarray(pedal, dtype=float)
-        thresholds = self.upshift_speeds[None, :] * np.atleast_1d(scale)[..., None]
-        gear = 1 + np.sum(np.atleast_1d(v)[..., None] > thresholds, axis=-1)
-        return gear if np.ndim(v) else int(gear[0])
+        thresholds = self.upshift_speeds * scale[..., None]
+        return 1 + np.sum(np.asarray(v)[..., None] > thresholds, axis=-1)
 
     def max_engine_torque(self, speed):
         return np.interp(speed, self.torque_curve_speed, self.torque_curve)
@@ -198,7 +211,7 @@ class ControlParams:
         # the extracted idle fuel and the simplified model's standstill
         # floor are this value, and both must be positive
         if not self.idle_fuel_gps > 0:
-            raise ValueError("idle_fuel_gps must be positive")
+            raise InvalidArgument(f"idle_fuel_gps must be positive, got {self.idle_fuel_gps}")
 
 
 @dataclass(frozen=True)

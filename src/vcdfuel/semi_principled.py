@@ -108,12 +108,12 @@ def select_gear_stateless(model: SemiPrincipledModel, v, pedal):
 
     The upshift map proposes a gear; the extracted downshift cutoffs cap it
     (a gear is only allowed at or above its cutoff speed). Ties resolve
-    toward the upshift map's choice.
+    toward the upshift map's choice. ``v`` and ``pedal`` are arrays of at
+    least one dimension, as ``evaluate`` passes them.
     """
-    k_up = np.atleast_1d(model.shift_maps.gear_from_speed(pedal, v))
-    k_down = np.searchsorted(model.constants.downshift_cutoffs, np.atleast_1d(v), side="right")
-    gear = np.clip(np.minimum(k_up, k_down), 1, model.params.n_gears)
-    return gear if np.ndim(v) else int(gear[0])
+    k_up = model.shift_maps.gear_from_speed(pedal, v)
+    k_down = np.searchsorted(model.constants.downshift_cutoffs, v, side="right")
+    return np.clip(np.minimum(k_up, k_down), 1, model.params.n_gears)
 
 
 def _gear_maps(model: SemiPrincipledModel, idx, x, y, outside):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import InvalidDt, MonotonicityError, ParseError
+from .errors import InsufficientData, InvalidDt, MonotonicityError, ParseError
 
 RADPS_TO_RPM = 60.0 / (2.0 * np.pi)
 
@@ -67,6 +67,12 @@ class Trace:
     def __len__(self) -> int:
         return self.t.size
 
+    def require(self, *names: str) -> None:
+        """Raise InsufficientData naming the first of ``names`` this trace lacks."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise InsufficientData(f"trace '{self.name}' has no '{name}' column")
+
     def columns(self) -> list[str]:
         """Names of the populated data columns (t excluded)."""
         return [
@@ -96,6 +102,8 @@ def read_trace_csv(path, name: str | None = None) -> Trace:
     data = read_columns(path)
     if next(iter(data)) != "t":
         raise ParseError(f"{path}: expected a trace CSV starting with column 't'")
+    if "v" not in data:
+        raise ParseError(f"{path}: trace CSV has no 'v' column")
     known = {f.name for f in fields(Trace)} - {"name"}
     extra = [c for c in data if c not in known]
     if extra:

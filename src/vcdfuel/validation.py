@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_columns
-from .errors import InsufficientData, InvalidArgument, LengthMismatch, NoOverlap, ZeroReference
+from .errors import InvalidArgument, LengthMismatch, NoOverlap, ZeroReference
 from .jsonio import read_json
 from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
 
@@ -68,9 +68,8 @@ def mae(series_a, series_b) -> float:
 def cumulative_fuel(trace_or_t, fuel=None) -> tuple[float, np.ndarray]:
     """Trapezoidal fuel integral [g]: total and the running series."""
     if fuel is None:
+        trace_or_t.require("fuel")
         t, f = trace_or_t.t, trace_or_t.fuel
-        if f is None:
-            raise InsufficientData(f"trace '{trace_or_t.name}' has no 'fuel' column")
     else:
         t = np.asarray(trace_or_t, dtype=float)
         f = np.asarray(fuel, dtype=float)

@@ -2,6 +2,8 @@ import hashlib
 import inspect
 import json
 import shutil
+from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -232,6 +234,29 @@ class TestBadInputsExit1:
         assert err == "error: idle fuel must be positive, got 0.0 g/s\n"
         assert not (out / "semi_model.json").exists()
 
+    @pytest.mark.parametrize("column", ["v", "a", "grade", "gear", "engine_speed",
+                                        "engine_torque", "pedal", "fuel"])
+    def test_reference_trace_without_column(self, pipeline_out, tmp_path, capsys, column):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out / "traces", out / "traces")
+        path = out / "traces" / "cruise_reference.csv"
+        write_trace_csv(replace(read_trace_csv(path), **{column: None}), path)
+        assert main(["extract", "--out", str(out)]) == 1
+        message = (f"{path}: trace CSV has no 'v' column" if column == "v"
+                   else f"trace 'cruise' has no '{column}' column")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "semi_model.json").exists()
+
+    def test_rig_trace_without_a(self, pipeline_out, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        (out / "reports" / "report.json").unlink()
+        path = out / "profiles" / "cruise_dyno_trace.csv"
+        write_trace_csv(replace(read_trace_csv(path), a=None), path)
+        assert main(["validate", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: trace 'cruise_dyno' has no 'a' column\n"
+        assert not (out / "reports" / "report.json").exists()
+
     def test_two_cycles_with_one_name(self, tmp_path, capsys):
         for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
@@ -404,6 +429,26 @@ class TestInMemoryPipeline:
         monkeypatch.setattr(cli, "cmd_extract", counting)
         assert main(["pipeline", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+    def test_validate_alone_reads_each_artifact_once(self, pipeline_out, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("read_trace_csv", "load_semi_model", "load_simplified"):
+            monkeypatch.setattr(cli, name, counting(name))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        assert main(["validate", "--out", str(out)]) == 0
+        # three reference traces and one rig trace
+        assert calls == {"load_semi_model": 1, "load_simplified": 1, "read_trace_csv": 4}
+        assert tree(out) == tree(pipeline_out)
 
     def test_pipeline_ignores_stale_rig_traces(self, pipeline_out, tmp_path):
         out = tmp_path / "out"

@@ -289,6 +289,26 @@ class TestFitPoly2d:
         assert np.allclose(back.evaluate(probe_x, probe_y), fit.evaluate(probe_x, probe_y))
 
 
+class TestConstructorsNameTheValue:
+    def test_poly_map_2d(self):
+        from vcdfuel.extraction import PolyMap2D
+        with pytest.raises(InvalidArgument) as info:
+            PolyMap2D(degree=(1, 1), coeffs_std=[[1.0]], x_mean=0.0, x_std=1.0, y_mean=0.0,
+                      y_std=1.0, domain=((0.0, 1.0), (0.0, 1.0)), rms_residual=0.0)
+        assert str(info.value) == \
+            "coefficient matrix shape does not match degree, got (1, 1) for degree (1, 1)"
+
+    @pytest.mark.parametrize("ys, zs, message", [
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "xs, ys, zs must have equal lengths, got 3, 3 and 2"),
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], "fit inputs must be finite, got nan in ys"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, np.inf], "fit inputs must be finite, got inf in zs"),
+    ], ids=["lengths", "nan", "inf"])
+    def test_fit_poly2d(self, ys, zs, message):
+        with pytest.raises(InvalidArgument) as info:
+            fit_poly2d([0.0, 1.0, 2.0], ys, zs, (0, 0))
+        assert isinstance(info.value, ValueError) and str(info.value) == message
+
+
 class TestFitAllMaps:
     def test_engine_speed_map_recovers_gear_ratio(self, vehicle, dataset):
         maps = fit_all_maps(dataset)

@@ -6,11 +6,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vcdfuel.drive_cycles import DriveCycle, resample
-from vcdfuel.errors import GearOutOfRange
+from vcdfuel.errors import GearOutOfRange, InvalidArgument
 from vcdfuel.powertrain import (
     GRAVITY,
     STANDSTILL_SPEED,
     ControlParams,
+    EngineFuelMap,
+    GearShiftMaps,
     invert_driveline,
     launch_torque,
     load_vehicle,
@@ -413,6 +415,70 @@ class TestFuelMap:
         from vcdfuel.powertrain import EngineFuelMap
         with pytest.raises(ValueError):
             EngineFuelMap([1.0, 2.0], [0.0, 1.0], [[0.3, 0.2], [0.3, 0.4]])
+
+
+def raised_message(build) -> str:
+    """The message of the InvalidArgument ``build()`` raises, checked to be a ValueError."""
+    with pytest.raises(InvalidArgument) as info:
+        build()
+    assert isinstance(info.value, ValueError)
+    return str(info.value)
+
+
+def make_shift_maps(**overrides):
+    base = dict(upshift_speeds=[4.5, 8.0], downshift_speeds=[3.0, 6.0], pedal_gain=0.01,
+                torque_curve_speed=[100.0, 300.0], torque_curve=[200.0, 250.0])
+    base.update(overrides)
+    return GearShiftMaps(**base)
+
+
+class TestConstructorsNameTheValue:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"gear_masses": [1600.0]},
+         "gear_masses and gear_ratios must have the same length, got 1 and 2"),
+        ({"mass": -1.0}, "masses must be positive, got mass -1.0"),
+        ({"gear_masses": [1600.0, 0.0]}, "masses must be positive, got gear_masses [1600.0, 0.0]"),
+        ({"tire_radius": 0.0}, "tire_radius and final_drive must be positive, got 0.0 and 3.0"),
+        ({"gear_ratios": [2.0, 4.0]}, "gear_ratios must be strictly decreasing, got [2.0, 4.0]"),
+        ({"engine_speed_idle": 700.0}, "need engine_speed_max > engine_speed_idle > 0, "
+                                       "got max 600.0, idle 700.0"),
+        ({"driveline_eff": 1.5}, "driveline_eff must be in (0, 1], got 1.5"),
+    ], ids=["lengths", "mass", "gear-mass", "tire-radius", "ratios", "engine-speeds", "efficiency"])
+    def test_vehicle_params(self, overrides, message):
+        assert raised_message(lambda: make_params(**overrides)) == message
+
+    @pytest.mark.parametrize("speeds, torques, fuel, message", [
+        ([1.0, 1.0], [0.0, 1.0], [[0.1, 0.2], [0.1, 0.2]],
+         "fuel map grids must be strictly ascending, got speed_grid [1.0, 1.0]"),
+        ([1.0, 2.0], [0.0, -1.0], [[0.1, 0.2], [0.1, 0.2]],
+         "fuel map grids must be strictly ascending, got torque_grid [0.0, -1.0]"),
+        ([1.0, 2.0], [0.0, 1.0], [[0.1, 0.2]],
+         "fuel table shape does not match grids, got (1, 2) for 2 x 2 grids"),
+        ([1.0, 2.0], [0.0, 1.0], [[0.1, 0.2], [-0.1, 0.3]],
+         "fuel map must be nonnegative, got -0.1"),
+        ([1.0, 2.0], [0.0, 1.0], [[0.25, 0.0], [0.3, 0.4]],
+         "fuel map must be non-decreasing in torque at fixed speed, got a step of -0.25"),
+    ], ids=["speed-grid", "torque-grid", "shape", "negative", "falls-with-torque"])
+    def test_engine_fuel_map(self, speeds, torques, fuel, message):
+        assert raised_message(lambda: EngineFuelMap(speeds, torques, fuel)) == message
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"downshift_speeds": [3.0]},
+         "upshift and downshift tables must have the same length, got 2 and 1"),
+        ({"downshift_speeds": [3.0, 8.0]},
+         "hysteresis band empty: need downshift < upshift everywhere, "
+         "got downshift_speeds [3.0, 8.0], upshift_speeds [4.5, 8.0]"),
+        ({"upshift_speeds": [8.0, 7.0]},
+         "upshift_speeds must be ascending, got [8.0, 7.0]"),
+        ({"torque_curve_speed": [300.0, 100.0]},
+         "torque_curve_speed must be ascending, got [300.0, 100.0]"),
+    ], ids=["lengths", "hysteresis", "order", "torque-curve"])
+    def test_gear_shift_maps(self, overrides, message):
+        assert raised_message(lambda: make_shift_maps(**overrides)) == message
+
+    def test_control_params(self):
+        assert raised_message(lambda: ControlParams(idle_fuel_gps=0.0)) == \
+            "idle_fuel_gps must be positive, got 0.0"
 
 
 class TestPowerBalanceInvariant:
