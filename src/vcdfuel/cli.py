@@ -411,7 +411,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {"unit": args.unit, "dt": args.dt})
         _check_names(cfg)
         args.func(Run(cfg, args))
-    except (MissingPrerequisite, FileNotFoundError) as exc:
+    except (MissingPrerequisite, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VcdFuelError as exc:

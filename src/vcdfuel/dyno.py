@@ -80,7 +80,8 @@ class DynoLog:
         return DynoLog(name=self.name, **kwargs)
 
     def resampled(self, dt: float) -> "DynoLog":
-        """Uniform grid via linear interpolation (nearest for gear)."""
+        """Uniform grid via linear interpolation; gear is that of the first
+        sample at or after each grid time."""
         grid = uniform_grid(self.t[0], self.t[-1], dt)
         kwargs = {}
         for name in DYNO_COLUMNS[1:]:

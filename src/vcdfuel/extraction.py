@@ -26,10 +26,12 @@ from .errors import (
     NoIdleData,
     RankDeficient,
 )
+from .jsonio import from_doc, to_doc
 from .powertrain import (
     STANDSTILL_SPEED,
     ReferenceVehicle,
     VehicleParams,
+    launch_knots,
     launch_torque,
     simulate,
     transmission_output_speed,
@@ -143,12 +145,22 @@ class ExtractedConstants:
     def __post_init__(self):
         object.__setattr__(self, "downshift_cutoffs",
                            np.asarray(self.downshift_cutoffs, dtype=float))
+        object.__setattr__(self, "launch_correction", launch_knots(self.launch_correction))
+        object.__setattr__(self, "interpolated_gears", tuple(self.interpolated_gears))
         if self.idle_fuel <= 0:
             raise InvalidArgument(f"idle fuel must be positive, got {self.idle_fuel} g/s")
         if self.cut_speed <= 0:
             raise InvalidArgument(f"cut speed must be positive, got {self.cut_speed} m/s")
         if np.any(np.diff(self.downshift_cutoffs) <= 0):
             raise InvalidArgument("downshift cutoffs must increase with gear")
+
+
+CONSTANTS_KEYS = {
+    "torque_floor": "torque_floor_nm", "idle_fuel": "idle_fuel_gps",
+    "cut_speed": "cut_speed_mps", "cut_force": "cut_force_n",
+    "downshift_cutoffs": "downshift_cutoffs_mps",
+    "launch_correction": "launch_correction", "interpolated_gears": "interpolated_gears",
+}
 
 
 def _settled_mask(t: np.ndarray, torque: np.ndarray) -> np.ndarray:
@@ -276,11 +288,19 @@ class PolyMap2D:
     rms_residual: float
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", tuple(self.degree))
         object.__setattr__(self, "coeffs_std", np.asarray(self.coeffs_std, dtype=float))
+        object.__setattr__(self, "domain", tuple(tuple(pair) for pair in self.domain))
         d1, d2 = self.degree
         if self.coeffs_std.shape != (d1 + 1, d2 + 1):
             raise InvalidArgument("coefficient matrix shape does not match degree, got "
-                                  f"{self.coeffs_std.shape} for degree {tuple(self.degree)}")
+                                  f"{self.coeffs_std.shape} for degree {self.degree}")
+        if [len(pair) for pair in self.domain] != [2, 2] or any(lo > hi for lo, hi in self.domain):
+            raise InvalidArgument("domain must be two (lo, hi) pairs with lo <= hi, got "
+                                  f"{[list(pair) for pair in self.domain]}")
+        if not (self.x_std > 0 and self.y_std > 0):
+            raise InvalidArgument("x_std and y_std must be positive, got "
+                                  f"{self.x_std} and {self.y_std}")
 
     def evaluate(self, x, y, clamp: bool = False):
         x = np.asarray(x, dtype=float)
@@ -307,22 +327,16 @@ class PolyMap2D:
         return mx.T @ self.coeffs_std @ my
 
     def to_dict(self) -> dict:
-        return {
-            "degree": list(self.degree),
-            "coeffs_std": self.coeffs_std.tolist(),
-            "x_mean": self.x_mean, "x_std": self.x_std,
-            "y_mean": self.y_mean, "y_std": self.y_std,
-            "domain": [list(self.domain[0]), list(self.domain[1])],
-            "rms_residual": self.rms_residual,
-        }
+        return to_doc(self, POLY_MAP_KEYS)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PolyMap2D":
-        return cls(degree=tuple(doc["degree"]), coeffs_std=np.array(doc["coeffs_std"]),
-                   x_mean=doc["x_mean"], x_std=doc["x_std"],
-                   y_mean=doc["y_mean"], y_std=doc["y_std"],
-                   domain=(tuple(doc["domain"][0]), tuple(doc["domain"][1])),
-                   rms_residual=doc["rms_residual"])
+        return from_doc(cls, doc, POLY_MAP_KEYS)
+
+
+# the JSON keys are the attribute names
+POLY_MAP_KEYS = {name: name for name in ("degree", "coeffs_std", "x_mean", "x_std", "y_mean",
+                                         "y_std", "domain", "rms_residual")}
 
 
 def _shift_scale_matrix(deg: int, mean: float, std: float) -> np.ndarray:

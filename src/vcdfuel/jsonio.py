@@ -1,11 +1,14 @@
 """JSON documents: the one reader and writer behind every JSON file vcdfuel
 reads or writes. Callers add only their own rules, as the ``parse`` function
-that turns a loaded document into their object."""
+that turns a loaded document into their object, and an ``{attribute:
+json_key}`` table per type, which ``to_doc`` and ``from_doc`` both follow."""
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -38,4 +41,26 @@ def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def to_doc(obj, keys: dict) -> dict:
+    """The attributes of ``obj`` that the ``{attribute: json_key}`` table
+    ``keys`` names, under their keys; arrays and tuples are written as lists."""
+    return {key: _plain(getattr(obj, attr)) for attr, key in keys.items()}
+
+
+def from_doc(cls, doc: dict, keys: dict, optional=()):
+    """``cls`` built from the values of ``doc`` that the same table names. A
+    key absent from ``doc`` raises KeyError unless its attribute is in
+    ``optional``, which leaves it at the type's default."""
+    return cls(**{attr: doc[key] for attr, key in keys.items()
+                  if key in doc or attr not in optional})
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
     return value

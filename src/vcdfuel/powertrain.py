@@ -21,7 +21,7 @@ import numpy as np
 
 from .drive_cycles import DriveCycle, resample
 from .errors import GearOutOfRange, InvalidArgument
-from .jsonio import read_json, write_json
+from .jsonio import from_doc, read_json, to_doc, write_json
 from .trace import DT, FLAG_ENVELOPE, Trace
 
 GRAVITY = 9.81  # m/s2
@@ -79,6 +79,16 @@ class VehicleParams:
     @property
     def n_gears(self) -> int:
         return len(self.gear_ratios)
+
+
+PARAMS_KEYS = {
+    "mass": "mass_kg", "gear_masses": "gear_masses_kg", "tire_radius": "tire_radius_m",
+    "final_drive": "final_drive", "gear_ratios": "gear_ratios",
+    "road_load_a": "road_load_a_n", "road_load_b": "road_load_b_n_per_mps",
+    "road_load_c": "road_load_c_n_per_mps2",
+    "engine_speed_idle": "engine_speed_idle_radps", "engine_speed_max": "engine_speed_max_radps",
+    "driveline_eff": "driveline_eff",
+}
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,10 @@ class EngineFuelMap:
         return out if out.ndim else float(out)
 
 
+FUEL_MAP_KEYS = {"speed_grid": "speed_grid_radps", "torque_grid": "torque_grid_nm",
+                 "fuel": "fuel_gps"}
+
+
 @dataclass(frozen=True)
 class GearShiftMaps:
     """Shift schedule plus engine/wheel torque limit curves.
@@ -172,6 +186,10 @@ class GearShiftMaps:
             values = getattr(self, name)
             if np.any(np.diff(values) <= 0):
                 raise InvalidArgument(f"{name} must be ascending, got {values.tolist()}")
+        if self.torque_curve.size != self.torque_curve_speed.size:
+            raise InvalidArgument("torque_curve must have one value per torque_curve_speed "
+                                  f"entry, got {self.torque_curve.size} and "
+                                  f"{self.torque_curve_speed.size}")
 
     def v_upshift(self, pedal: float, gear: int) -> float:
         """Speed above which `gear` shifts up; +inf for the top gear."""
@@ -195,6 +213,13 @@ class GearShiftMaps:
         return np.interp(speed, self.torque_curve_speed, self.torque_curve)
 
 
+SHIFT_MAPS_KEYS = {
+    "upshift_speeds": "upshift_speeds_mps", "downshift_speeds": "downshift_speeds_mps",
+    "pedal_gain": "pedal_gain_per_pct",
+    "torque_curve_speed": "torque_curve_speed_radps", "torque_curve": "torque_curve_nm",
+}
+
+
 @dataclass(frozen=True)
 class ControlParams:
     """Engine/transmission control constants of the reference vehicle."""
@@ -212,6 +237,14 @@ class ControlParams:
         # floor are this value, and both must be positive
         if not self.idle_fuel_gps > 0:
             raise InvalidArgument(f"idle_fuel_gps must be positive, got {self.idle_fuel_gps}")
+        object.__setattr__(self, "launch_correction", launch_knots(self.launch_correction))
+
+
+CONTROL_KEYS = {
+    "idle_fuel_gps": "idle_fuel_gps", "idle_torque_nm": "idle_torque_nm",
+    "fuel_cut_speed": "fuel_cut_speed_mps", "fuel_cut_force": "fuel_cut_force_n",
+    "launch_correction": "launch_correction",
+}
 
 
 @dataclass(frozen=True)
@@ -260,6 +293,16 @@ def invert_driveline(params: VehicleParams, force, gear):
 def transmission_output_speed(params: VehicleParams, v):
     """Transmission output shaft speed [rad/s] at vehicle speed v [m/s]."""
     return np.asarray(v, dtype=float) * params.final_drive / params.tire_radius
+
+
+def launch_knots(knots) -> tuple:
+    """Launch-correction ``knots`` as a tuple of (accel, torque) pairs, which
+    ``launch_torque`` needs in strictly ascending accel."""
+    knots = tuple(tuple(pt) for pt in knots)
+    if any(len(pt) != 2 for pt in knots) or np.any(np.diff([pt[0] for pt in knots]) <= 0):
+        raise InvalidArgument("launch_correction must be (accel, torque) pairs with strictly "
+                              f"ascending accel, got {[list(pt) for pt in knots]}")
+    return knots
 
 
 def launch_torque(knots, accel):
@@ -373,91 +416,26 @@ def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float 
 # --- vehicle JSON ------------------------------------------------------------
 
 def params_to_dict(p: VehicleParams) -> dict:
-    return {
-        "mass_kg": p.mass,
-        "gear_masses_kg": p.gear_masses.tolist(),
-        "tire_radius_m": p.tire_radius,
-        "final_drive": p.final_drive,
-        "gear_ratios": p.gear_ratios.tolist(),
-        "road_load_a_n": p.road_load_a,
-        "road_load_b_n_per_mps": p.road_load_b,
-        "road_load_c_n_per_mps2": p.road_load_c,
-        "engine_speed_idle_radps": p.engine_speed_idle,
-        "engine_speed_max_radps": p.engine_speed_max,
-        "driveline_eff": p.driveline_eff,
-    }
+    return to_doc(p, PARAMS_KEYS)
 
 
-def params_from_dict(p: dict) -> VehicleParams:
-    return VehicleParams(
-        mass=p["mass_kg"],
-        gear_masses=p["gear_masses_kg"],
-        tire_radius=p["tire_radius_m"],
-        final_drive=p["final_drive"],
-        gear_ratios=p["gear_ratios"],
-        road_load_a=p["road_load_a_n"],
-        road_load_b=p["road_load_b_n_per_mps"],
-        road_load_c=p["road_load_c_n_per_mps2"],
-        engine_speed_idle=p["engine_speed_idle_radps"],
-        engine_speed_max=p["engine_speed_max_radps"],
-        driveline_eff=p.get("driveline_eff", 0.92),
-    )
-
-
-def shift_maps_to_dict(s: GearShiftMaps) -> dict:
-    return {
-        "upshift_speeds_mps": s.upshift_speeds.tolist(),
-        "downshift_speeds_mps": s.downshift_speeds.tolist(),
-        "pedal_gain_per_pct": s.pedal_gain,
-        "torque_curve_speed_radps": s.torque_curve_speed.tolist(),
-        "torque_curve_nm": s.torque_curve.tolist(),
-    }
-
-
-def shift_maps_from_dict(s: dict) -> GearShiftMaps:
-    return GearShiftMaps(
-        upshift_speeds=s["upshift_speeds_mps"],
-        downshift_speeds=s["downshift_speeds_mps"],
-        pedal_gain=s["pedal_gain_per_pct"],
-        torque_curve_speed=s["torque_curve_speed_radps"],
-        torque_curve=s["torque_curve_nm"],
-    )
+def params_from_dict(doc: dict) -> VehicleParams:
+    return from_doc(VehicleParams, doc, PARAMS_KEYS, optional={"driveline_eff"})
 
 
 def vehicle_to_dict(vehicle: ReferenceVehicle) -> dict:
-    m, c = vehicle.fuel_map, vehicle.control
-    return {
-        "params": params_to_dict(vehicle.params),
-        "engine_map": {
-            "speed_grid_radps": m.speed_grid.tolist(),
-            "torque_grid_nm": m.torque_grid.tolist(),
-            "fuel_gps": m.fuel.tolist(),
-        },
-        "shifting": shift_maps_to_dict(vehicle.shift_maps),
-        "control": {
-            "idle_fuel_gps": c.idle_fuel_gps,
-            "idle_torque_nm": c.idle_torque_nm,
-            "fuel_cut_speed_mps": c.fuel_cut_speed,
-            "fuel_cut_force_n": c.fuel_cut_force,
-            "launch_correction": [list(pt) for pt in c.launch_correction],
-        },
-    }
+    return {"params": params_to_dict(vehicle.params),
+            "engine_map": to_doc(vehicle.fuel_map, FUEL_MAP_KEYS),
+            "shifting": to_doc(vehicle.shift_maps, SHIFT_MAPS_KEYS),
+            "control": to_doc(vehicle.control, CONTROL_KEYS)}
 
 
 def vehicle_from_dict(doc: dict) -> ReferenceVehicle:
-    params = params_from_dict(doc["params"])
-    m = doc["engine_map"]
-    fuel_map = EngineFuelMap(m["speed_grid_radps"], m["torque_grid_nm"], m["fuel_gps"])
-    shift_maps = shift_maps_from_dict(doc["shifting"])
-    c = doc["control"]
-    control = ControlParams(
-        idle_fuel_gps=c["idle_fuel_gps"],
-        idle_torque_nm=c["idle_torque_nm"],
-        fuel_cut_speed=c["fuel_cut_speed_mps"],
-        fuel_cut_force=c["fuel_cut_force_n"],
-        launch_correction=tuple(tuple(pt) for pt in c.get("launch_correction", [])),
-    )
-    return ReferenceVehicle(params, fuel_map, shift_maps, control)
+    return ReferenceVehicle(
+        params_from_dict(doc["params"]),
+        from_doc(EngineFuelMap, doc["engine_map"], FUEL_MAP_KEYS),
+        from_doc(GearShiftMaps, doc["shifting"], SHIFT_MAPS_KEYS),
+        from_doc(ControlParams, doc["control"], CONTROL_KEYS, optional={"launch_correction"}))
 
 
 def load_vehicle(path) -> ReferenceVehicle:

@@ -19,6 +19,7 @@ import numpy.polynomial.polynomial as npoly
 from .drive_cycles import DriveCycle
 from .errors import InvalidArgument
 from .extraction import (
+    CONSTANTS_KEYS,
     FUEL_MAP_DEGREE,
     GEAR_MAP_DEGREE,
     MIN_GEAR_SAMPLES,
@@ -32,9 +33,10 @@ from .extraction import (
     fit_all_maps,
     run_vcd,
 )
-from .jsonio import read_json
+from .jsonio import from_doc, read_json, to_doc
 from .powertrain import (
     GRAVITY,
+    SHIFT_MAPS_KEYS,
     STANDSTILL_SPEED,
     GearShiftMaps,
     ReferenceVehicle,
@@ -45,8 +47,6 @@ from .powertrain import (
     params_from_dict,
     params_to_dict,
     road_load,
-    shift_maps_from_dict,
-    shift_maps_to_dict,
     transmission_output_speed,
     wheel_force,
 )
@@ -289,45 +289,27 @@ def build_semi_model_from_dataset(ds: VcdDataset, shift_maps: GearShiftMaps,
 # --- serialization -----------------------------------------------------------
 
 def model_to_dict(model: SemiPrincipledModel) -> dict:
-    c = model.constants
     return {
         "params": params_to_dict(model.params),
-        "constants": {
-            "torque_floor_nm": c.torque_floor,
-            "idle_fuel_gps": c.idle_fuel,
-            "cut_speed_mps": c.cut_speed,
-            "cut_force_n": c.cut_force,
-            "downshift_cutoffs_mps": c.downshift_cutoffs.tolist(),
-            "launch_correction": [list(pt) for pt in c.launch_correction],
-            "interpolated_gears": list(c.interpolated_gears),
-        },
+        "constants": to_doc(model.constants, CONSTANTS_KEYS),
         "fuel_map": model.fuel_map.to_dict(),
         "engine_speed_maps": [m.to_dict() for m in model.engine_speed_maps],
         "torque_maps": [m.to_dict() for m in model.torque_maps],
-        "shifting": shift_maps_to_dict(model.shift_maps),
+        "shifting": to_doc(model.shift_maps, SHIFT_MAPS_KEYS),
         "speed_max_mps": model.speed_max,
         "metadata": model.metadata,
     }
 
 
 def model_from_dict(doc: dict) -> SemiPrincipledModel:
-    c = doc["constants"]
-    constants = ExtractedConstants(
-        torque_floor=c["torque_floor_nm"],
-        idle_fuel=c["idle_fuel_gps"],
-        cut_speed=c["cut_speed_mps"],
-        cut_force=c["cut_force_n"],
-        downshift_cutoffs=c["downshift_cutoffs_mps"],
-        launch_correction=tuple(tuple(pt) for pt in c.get("launch_correction", [])),
-        interpolated_gears=tuple(c.get("interpolated_gears", [])),
-    )
     return SemiPrincipledModel(
         params=params_from_dict(doc["params"]),
-        constants=constants,
+        constants=from_doc(ExtractedConstants, doc["constants"], CONSTANTS_KEYS,
+                           optional={"launch_correction", "interpolated_gears"}),
         fuel_map=PolyMap2D.from_dict(doc["fuel_map"]),
-        engine_speed_maps=tuple(PolyMap2D.from_dict(d) for d in doc["engine_speed_maps"]),
-        torque_maps=tuple(PolyMap2D.from_dict(d) for d in doc["torque_maps"]),
-        shift_maps=shift_maps_from_dict(doc["shifting"]),
+        engine_speed_maps=tuple(map(PolyMap2D.from_dict, doc["engine_speed_maps"])),
+        torque_maps=tuple(map(PolyMap2D.from_dict, doc["torque_maps"])),
+        shift_maps=from_doc(GearShiftMaps, doc["shifting"], SHIFT_MAPS_KEYS),
         speed_max=doc["speed_max_mps"],
         metadata=doc.get("metadata", {}),
     )

@@ -13,13 +13,14 @@ by a positivity projection on the constant term.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import ConstraintInfeasible, InvalidArgument, RankDeficient
-from .jsonio import read_json
+from .jsonio import from_doc, read_json, to_doc
 from .powertrain import STANDSTILL_SPEED
 from .semi_principled import SemiPrincipledModel, broadcast_inputs, domain_excess, evaluate
 from .trace import FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
@@ -94,6 +95,12 @@ class SimplifiedModel:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.beta <= 0 or self.cut_speed <= 0:
             raise InvalidArgument("beta and cut_speed must be positive")
+        for name in ("v_range", "a_range", "grade_range"):
+            lo_hi = tuple(getattr(self, name))
+            if len(lo_hi) != 2 or not all(isinstance(x, numbers.Real) for x in lo_hi) \
+                    or not lo_hi[0] < lo_hi[1]:
+                raise InvalidArgument(f"{name} must be two numbers with lo < hi, got {list(lo_hi)}")
+            object.__setattr__(self, name, lo_hi)
 
     def cut_accel(self, v, grade=0.0):
         """Boundary acceleration below which fuel is cut (for v above cut_speed)."""
@@ -117,6 +124,15 @@ class SimplifiedModel:
     def min_accel(self, v):
         """Lower edge of the meaningful operating band at zero grade."""
         return np.clip(self.cut_accel(v, 0.0), self.a_range[0], self.a_range[1])
+
+
+SIMPLIFIED_KEYS = {
+    "beta": "beta_gps", "cut_speed": "cut_speed_mps",
+    "coeff_c": "coeff_c", "coeff_p": "coeff_p", "coeff_q": "coeff_q", "coeff_z": "coeff_z",
+    "cut_boundary": "cut_boundary",
+    "v_range": "v_range_mps", "a_range": "a_range_mps2", "grade_range": "grade_range_rad",
+    "diagnostics": "diagnostics",
+}
 
 
 def eval_simplified(model: SimplifiedModel, v, a, grade=0.0, with_flags: bool = False):
@@ -319,18 +335,8 @@ def _enforce_positivity(model: SimplifiedModel) -> SimplifiedModel:
 
 def simplified_to_dict(model: SimplifiedModel) -> dict:
     return {
-        "beta_gps": model.beta,
-        "cut_speed_mps": model.cut_speed,
-        "coeff_c": model.coeff_c.tolist(),
-        "coeff_p": model.coeff_p.tolist(),
-        "coeff_q": model.coeff_q.tolist(),
-        "coeff_z": model.coeff_z.tolist(),
-        "cut_boundary": model.cut_boundary.tolist(),
+        **to_doc(model, SIMPLIFIED_KEYS),
         "cut_boundary_terms": [list(t) for t in CUT_BOUNDARY_TERMS],
-        "v_range_mps": list(model.v_range),
-        "a_range_mps2": list(model.a_range),
-        "grade_range_rad": list(model.grade_range),
-        "diagnostics": model.diagnostics,
         "units": {
             "coeff_c": "g/s per (m/s)^i",
             "coeff_p": "g/s per (m/s)^i per (m/s^2)",
@@ -341,19 +347,7 @@ def simplified_to_dict(model: SimplifiedModel) -> dict:
 
 
 def simplified_from_dict(doc: dict) -> SimplifiedModel:
-    return SimplifiedModel(
-        beta=doc["beta_gps"],
-        cut_speed=doc["cut_speed_mps"],
-        coeff_c=doc["coeff_c"],
-        coeff_p=doc["coeff_p"],
-        coeff_q=doc["coeff_q"],
-        coeff_z=doc["coeff_z"],
-        cut_boundary=doc["cut_boundary"],
-        v_range=tuple(doc["v_range_mps"]),
-        a_range=tuple(doc["a_range_mps2"]),
-        grade_range=tuple(doc["grade_range_rad"]),
-        diagnostics=doc.get("diagnostics", {}),
-    )
+    return from_doc(SimplifiedModel, doc, SIMPLIFIED_KEYS, optional={"diagnostics"})
 
 
 def load_simplified(path) -> SimplifiedModel:

@@ -45,6 +45,15 @@ def tree(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def edited(edit):
+    """A damage that applies ``edit`` to the parsed JSON document."""
+    def damage(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return damage
+
+
 def gear_map_of_other_degree(text):
     """A semi_model.json whose third torque map is a consistent (2, 1) map."""
     doc = json.loads(text)
@@ -104,6 +113,15 @@ class TestStages:
         code = main(["extract", "--out", str(tmp_path)])
         assert code == 2
         assert "simulate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--out", "afile"], ["--config", ".", "--out", "out"]],
+                             ids=["out-is-a-file", "config-is-a-directory"])
+    def test_os_error_exits_2(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").touch()
+        assert main(["simulate", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
 
 TRACE_HEADER = "t,v,gear,fuel\n"
@@ -195,8 +213,16 @@ class TestBadInputsExit1:
          "reports/report.json"),
         ("extract", "traces/manifest.json", lambda text: json.dumps({"cycles": 5}),
          "semi_model.json"),
+        ("fit-simplified", "semi_model.json",
+         edited(lambda doc: doc["fuel_map"]["domain"].__setitem__(1, [0, 1, 2])),
+         "simplified_model.json"),
+        ("fit-simplified", "semi_model.json", edited(lambda doc: doc["fuel_map"].update(x_std=0)),
+         "simplified_model.json"),
+        ("validate", "simplified_model.json",
+         edited(lambda doc: doc.update(v_range_mps=[0, 30, 40])), "reports/report.json"),
     ], ids=["truncated-semi-model", "gear-maps-of-unequal-degree",
-            "simplified-model-without-coeff-c", "manifest-cycles-int"])
+            "simplified-model-without-coeff-c", "manifest-cycles-int",
+            "fuel-map-domain-of-three", "fuel-map-zero-x-std", "simplified-range-of-three"])
     def test_malformed_json_artifact(self, pipeline_out, tmp_path, capsys,
                                      stage, artifact, damage, downstream):
         out = tmp_path / "out"
@@ -354,7 +380,15 @@ class TestBadInputsExit1:
         (lambda doc: doc["params"].update(mass_kg=-1.0), "masses must be positive"),
         (lambda doc: doc["control"].update(idle_fuel_gps=0.0), "idle_fuel_gps must be positive"),
         (lambda doc: doc["control"].update(idle_fuel_gps=-0.1), "idle_fuel_gps must be positive"),
-    ], ids=["missing-mass", "negative-mass", "zero-idle-fuel", "negative-idle-fuel"])
+        (lambda doc: doc["control"].update(launch_correction=[[0.0]]),
+         "launch_correction must be (accel, torque) pairs with strictly ascending accel, "
+         "got [[0.0]]"),
+        (lambda doc: doc["control"].update(launch_correction=[[1, 5], [0, 2]]),
+         "with strictly ascending accel, got [[1, 5], [0, 2]]"),
+        (lambda doc: doc["shifting"]["torque_curve_nm"].pop(),
+         "torque_curve must have one value per torque_curve_speed entry, got 7 and 8"),
+    ], ids=["missing-mass", "negative-mass", "zero-idle-fuel", "negative-idle-fuel",
+            "one-number-knot", "descending-knots", "short-torque-curve"])
     def test_bad_vehicle_json(self, tmp_path, capsys, edit, reason):
         doc = vehicle_to_dict(default_vehicle())
         edit(doc)

@@ -1,18 +1,43 @@
 import copy
+import dataclasses
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vcdfuel import jsonio
 from vcdfuel.errors import ParseError
+from vcdfuel.extraction import CONSTANTS_KEYS, POLY_MAP_KEYS, ExtractedConstants, PolyMap2D
 from vcdfuel.jsonio import read_json, write_json
-from vcdfuel.semi_principled import eval_semi_trace, load_semi_model, model_to_dict
-from vcdfuel.simplified import load_simplified, simplified_to_dict
+from vcdfuel.powertrain import (
+    CONTROL_KEYS,
+    FUEL_MAP_KEYS,
+    PARAMS_KEYS,
+    SHIFT_MAPS_KEYS,
+    ControlParams,
+    EngineFuelMap,
+    GearShiftMaps,
+    VehicleParams,
+)
+from vcdfuel.semi_principled import eval_semi_trace, evaluate, load_semi_model, model_to_dict
+from vcdfuel.simplified import (
+    SIMPLIFIED_KEYS,
+    SimplifiedModel,
+    eval_simplified,
+    load_simplified,
+    simplified_to_dict,
+)
 from vcdfuel.validation import build_report, load_report
+
+# what a loaded model must survive: one small (v, a, grade) batch, standstill
+# and points outside the fitted boxes included
+MODEL_USE = {"semi_model": evaluate, "simplified_model": eval_simplified}
+BATCH = (np.array([0.0, 3.0, 12.0, 25.0, 60.0]), np.array([0.0, 1.5, -2.0, 0.3, 4.0]),
+         np.array([0.0, 0.05, -0.1, 0.0, 0.2]))
 
 
 def legacy_bytes(tmp_path, doc) -> bytes:
@@ -36,13 +61,14 @@ def artifacts(semi_model, simplified_model, dataset):
 
 
 def key_paths(doc, prefix=()):
-    """Every key of a document, nested ones included, as index paths."""
+    """Every key and list entry of a document, nested ones included, as index paths."""
     if isinstance(doc, dict):
         for key, val in doc.items():
             yield prefix + (key,)
             yield from key_paths(val, prefix + (key,))
     elif isinstance(doc, list):
         for i, val in enumerate(doc):
+            yield prefix + (i,)
             yield from key_paths(val, prefix + (i,))
 
 
@@ -97,9 +123,26 @@ class TestReadJson:
         path = tmp_path_factory.mktemp("damaged") / f"{kind}.json"
         path.write_bytes(blob)
         try:
-            load(path)
+            loaded = load(path)
         except ParseError as exc:
             assert str(exc).startswith(f"{path}: ")
+        else:
+            if kind in MODEL_USE:
+                MODEL_USE[kind](loaded, *BATCH)
+
+
+KEY_TABLES = [(VehicleParams, PARAMS_KEYS), (EngineFuelMap, FUEL_MAP_KEYS),
+              (GearShiftMaps, SHIFT_MAPS_KEYS), (ControlParams, CONTROL_KEYS),
+              (ExtractedConstants, CONSTANTS_KEYS), (PolyMap2D, POLY_MAP_KEYS),
+              (SimplifiedModel, SIMPLIFIED_KEYS)]
+
+
+@pytest.mark.parametrize("cls, keys", KEY_TABLES, ids=[cls.__name__ for cls, _ in KEY_TABLES])
+def test_key_table_names_every_init_field(cls, keys):
+    """A field added to a type but not to its table would be neither written
+    nor read; two attributes under one key would overwrite each other."""
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(cls) if f.init)
+    assert len(set(keys.values())) == len(keys)
 
 
 def test_formats_have_one_module_each():
