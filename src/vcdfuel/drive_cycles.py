@@ -56,7 +56,7 @@ class DriveCycle:
         return float(self.t[-1])
 
 
-def load_cycle(path, unit: str = "mps", name: str | None = None) -> DriveCycle:
+def load_cycle(path, unit: str = "mps") -> DriveCycle:
     """Load a two-column `t,v` CSV and convert speed to m/s.
 
     Parameters
@@ -65,8 +65,8 @@ def load_cycle(path, unit: str = "mps", name: str | None = None) -> DriveCycle:
         CSV with header ``t,v``, UTF-8, ``.`` decimal separator.
     unit : {"mps", "kph", "mph"}
         Unit of the speed column.
-    name : str, optional
-        Cycle name; defaults to the file stem.
+
+    The cycle is named after the file stem.
     """
     path = Path(path)
     if unit not in _UNIT_FACTORS:
@@ -74,7 +74,7 @@ def load_cycle(path, unit: str = "mps", name: str | None = None) -> DriveCycle:
     data = read_columns(path)
     if list(data) != ["t", "v"]:
         raise ParseError(f"{path}: expected header 't,v', got {','.join(data)!r}")
-    return DriveCycle(name=name or path.stem, t=data["t"], v=data["v"] * _UNIT_FACTORS[unit])
+    return DriveCycle(name=path.stem, t=data["t"], v=data["v"] * _UNIT_FACTORS[unit])
 
 
 def save_cycle(cycle: DriveCycle, path, unit: str = "mps") -> None:

@@ -91,11 +91,12 @@ class DynoLog:
         return DynoLog(name=self.name, t=grid, **kwargs)
 
 
-def read_dyno_csv(path, name: str | None = None) -> DynoLog:
+def read_dyno_csv(path) -> DynoLog:
+    """A dyno log CSV with the ``DYNO_COLUMNS`` header, named after the file stem."""
     data = read_columns(path)
     if tuple(data) != DYNO_COLUMNS:
         raise ParseError(f"{path}: expected header {','.join(DYNO_COLUMNS)}")
-    return DynoLog(name=name or Path(path).stem, **data)
+    return DynoLog(name=Path(path).stem, **data)
 
 
 def write_dyno_csv(log: DynoLog, path) -> None:
@@ -244,19 +245,15 @@ class ProcessedProfile:
 
 def process_log(log: DynoLog, dt: float = DT, bound: float = ACCEL_BOUND,
                 clip_fraction: float = CLIP_FRACTION, mu: float = SMOOTHING_MU,
-                hot_threshold: float | None = HOT_THRESHOLD_C,
+                hot_threshold: float = HOT_THRESHOLD_C,
                 max_steps: int = MAX_SMOOTHING_STEPS) -> ProcessedProfile:
     """Window, resample, regress, smooth, differentiate, winsorize.
 
     The trace holds the rebuilt (t, v, a) on flat grade and the other rig
     channels as resampled onto the same grid.
     """
-    if hot_threshold is not None:
-        t_start, t_end = hot_engine_window(log, hot_threshold)
-        windowed = log.window(t_start, t_end)
-    else:
-        t_start, t_end = float(log.t[0]), float(log.t[-1])
-        windowed = log
+    t_start, t_end = hot_engine_window(log, hot_threshold)
+    windowed = log.window(t_start, t_end)
     slope = fit_speed_regression(windowed)
     uniform = windowed.resampled(dt)
     v_derived = derive_speed(uniform, slope)

@@ -302,15 +302,11 @@ class PolyMap2D:
             raise InvalidArgument("x_std and y_std must be positive, got "
                                   f"{self.x_std} and {self.y_std}")
 
-    def evaluate(self, x, y, clamp: bool = False):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if clamp:
-            (x0, x1), (y0, y1) = self.domain
-            x = np.clip(x, x0, x1)
-            y = np.clip(y, y0, y1)
-        u = (x - self.x_mean) / self.x_std
-        w = (y - self.y_mean) / self.y_std
+    def evaluate(self, x, y):
+        """z at (x, y), each input clamped to the map's domain first."""
+        (x0, x1), (y0, y1) = self.domain
+        u = (np.clip(np.asarray(x, dtype=float), x0, x1) - self.x_mean) / self.x_std
+        w = (np.clip(np.asarray(y, dtype=float), y0, y1) - self.y_mean) / self.y_std
         out = np.polynomial.polynomial.polyval2d(u, w, self.coeffs_std)
         return out if out.ndim else float(out)
 
@@ -403,15 +399,15 @@ class FittedMaps:
     torque_maps: list[PolyMap2D]        # per gear, (output speed, wheel force) -> Nm
 
 
-def fit_all_maps(ds: VcdDataset, fuel_degree=FUEL_MAP_DEGREE, gear_degree=GEAR_MAP_DEGREE,
-                 min_gear_samples: int = MIN_GEAR_SAMPLES, min_torque: float | None = None,
+def fit_all_maps(ds: VcdDataset, min_torque: float, fuel_degree=FUEL_MAP_DEGREE,
+                 gear_degree=GEAR_MAP_DEGREE, min_gear_samples: int = MIN_GEAR_SAMPLES,
                  launch_correction=()) -> FittedMaps:
     """Fit the fuel surface and the per-gear driveline maps.
 
     The fuel fit drops standstill and fuel-cut rows (those regimes are
-    represented by the idle constant and the cut rule) and, when
-    ``min_torque`` is given, rows below it (unreachable after the model's
-    torque clamp). Per-gear fits drop rows pinned at the engine-speed
+    represented by the idle constant and the cut rule) and rows below
+    ``min_torque`` (unreachable after the model's torque clamp; ``-inf``
+    keeps them all). Per-gear fits drop rows pinned at the engine-speed
     clamps or the torque envelope, since the model re-applies those clamps
     after map evaluation. A nonempty ``launch_correction`` is subtracted
     from first-gear torque targets so the fitted map composes with it.
@@ -422,9 +418,7 @@ def fit_all_maps(ds: VcdDataset, fuel_degree=FUEL_MAP_DEGREE, gear_degree=GEAR_M
     idle = cols["v"] < STANDSTILL_SPEED
     cut = (cols["fuel"] == 0.0) & ~idle
 
-    fuel_rows = ~idle & ~cut
-    if min_torque is not None:
-        fuel_rows &= cols["engine_torque"] >= min_torque
+    fuel_rows = ~idle & ~cut & (cols["engine_torque"] >= min_torque)
     fuel_map = fit_poly2d(cols["engine_speed"][fuel_rows], cols["engine_torque"][fuel_rows],
                           cols["fuel"][fuel_rows], fuel_degree)
 

@@ -118,7 +118,7 @@ def select_gear_stateless(model: SemiPrincipledModel, v, pedal):
 
 def _gear_maps(model: SemiPrincipledModel, idx, x, y, outside):
     """Engine speed and torque from each point's own gear maps (gear index
-    ``idx``), bit for bit each map's ``evaluate(x, y, clamp=True)``; ORs
+    ``idx``), bit for bit each map's ``evaluate(x, y)``; ORs
     into ``outside`` where (x, y) lies outside either map's box."""
     values = []
     for bounds, coeffs in model._gear_tables:
@@ -177,7 +177,7 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     floor = engine_torque < c.torque_floor
     engine_torque = np.clip(engine_torque, c.torque_floor, t_cap)
 
-    fuel = np.maximum(0.0, model.fuel_map.evaluate(engine_speed, engine_torque, clamp=True))
+    fuel = np.maximum(0.0, model.fuel_map.evaluate(engine_speed, engine_torque))
     clamped |= model.fuel_map.out_of_domain(engine_speed, engine_torque)
     flags = clamped * FLAG_CLAMPED | envelope * FLAG_ENVELOPE | floor * FLAG_FLOOR
     cut = (v > c.cut_speed) & (force < c.cut_force)
@@ -213,13 +213,6 @@ def domain_excess(model: SemiPrincipledModel, v, out: dict):
             over = np.maximum(np.maximum(lo - x, x - hi), 0.0) / np.maximum(hi - lo, 1e-9)
             excess = np.maximum(excess, over)
     return excess
-
-
-def eval_semi(model: SemiPrincipledModel, v: float, a: float, grade: float = 0.0):
-    """Single-point evaluation: (gear, engine_speed, engine_torque, pedal, fuel)."""
-    out = evaluate(model, v, a, grade)
-    return (int(out["gear"][0]), float(out["engine_speed"][0]),
-            float(out["engine_torque"][0]), float(out["pedal"][0]), float(out["fuel"][0]))
 
 
 def eval_semi_trace(model: SemiPrincipledModel, t, v, a, grade=0.0, name: str = "semi") -> Trace:

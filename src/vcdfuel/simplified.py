@@ -63,10 +63,6 @@ class FitGrid:
             out.append(lo + step * (np.arange(n) + 0.5))
         return out
 
-    def refined(self, factor: int = 2) -> "FitGrid":
-        return FitGrid(self.v_range, self.a_range, self.grade_range,
-                       tuple(n * factor for n in self.shape))
-
 
 def default_grid(semi: SemiPrincipledModel) -> FitGrid:
     """Default fit box: full speed range, acceleration over the responsive

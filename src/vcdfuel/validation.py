@@ -65,22 +65,23 @@ def mae(series_a, series_b) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
-def cumulative_fuel(trace_or_t, fuel=None) -> tuple[float, np.ndarray]:
+def cumulative_fuel(t, fuel) -> tuple[float, np.ndarray]:
     """Trapezoidal fuel integral [g]: total and the running series."""
-    if fuel is None:
-        trace_or_t.require("fuel")
-        t, f = trace_or_t.t, trace_or_t.fuel
-    else:
-        t = np.asarray(trace_or_t, dtype=float)
-        f = np.asarray(fuel, dtype=float)
+    t = np.asarray(t, dtype=float)
+    f = np.asarray(fuel, dtype=float)
     increments = 0.5 * (f[1:] + f[:-1]) * np.diff(t)
     running = np.concatenate([[0.0], np.cumsum(increments)])
     return float(running[-1]), running
 
 
+def _total_fuel(trace: Trace) -> float:
+    trace.require("fuel")
+    return cumulative_fuel(trace.t, trace.fuel)[0]
+
+
 def cumulative_error_pct(ref: Trace, model: Trace) -> float:
     """Relative total-fuel error in percent of the reference total."""
-    return _error_pct(cumulative_fuel(ref)[0], cumulative_fuel(model)[0])
+    return _error_pct(_total_fuel(ref), _total_fuel(model))
 
 
 def _error_pct(total_ref: float, total_model: float) -> float:
@@ -156,8 +157,7 @@ def compare_pair(cycle: str, ref: Trace, model: Trace, dt: float = DT) -> PairMe
 
 def _pair_metrics(cycle: str, ref: Trace, model: Trace, pair: AlignedPair,
                   dt: float) -> PairMetrics:
-    total_ref, _ = cumulative_fuel(ref)
-    total_model, _ = cumulative_fuel(model)
+    total_ref, total_model = _total_fuel(ref), _total_fuel(model)
     rec = PairMetrics(
         cycle=cycle, ref_id=ref.name, model_id=model.name, dt=dt,
         mae_fuel_gps=mae(pair.ref["fuel"], pair.model["fuel"]),

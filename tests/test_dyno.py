@@ -321,7 +321,7 @@ class TestRigTraceOracle:
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), col
 
     def test_without_hot_window(self, synthetic_log):
-        profile = process_log(synthetic_log, hot_threshold=None)
+        profile = process_log(synthetic_log, hot_threshold=-np.inf)
         assert profile.trace.t[0] == synthetic_log.t[0]
         expected = log_to_trace(synthetic_log, profile)
         for col in TRACE_COLUMNS[1:-1]:

@@ -90,8 +90,8 @@ def loop_evaluate(model, v, a, grade=0.0):
         x, y = n_out[mask], map_force[mask]
         flags[mask] |= np.where(n_map.out_of_domain(x, y) | t_map.out_of_domain(x, y),
                                 FLAG_CLAMPED, 0)
-        engine_speed[mask] = n_map.evaluate(x, y, clamp=True)
-        engine_torque[mask] = t_map.evaluate(x, y, clamp=True)
+        engine_speed[mask] = n_map.evaluate(x, y)
+        engine_torque[mask] = t_map.evaluate(x, y)
     engine_torque[gear == 1] += launch_torque(c.launch_correction, a[gear == 1])
 
     engine_speed = np.clip(engine_speed, p.engine_speed_idle, p.engine_speed_max)
@@ -100,7 +100,7 @@ def loop_evaluate(model, v, a, grade=0.0):
     flags |= np.where(engine_torque < c.torque_floor, FLAG_FLOOR, 0)
     engine_torque = np.clip(engine_torque, c.torque_floor, t_cap)
 
-    fuel = np.maximum(0.0, model.fuel_map.evaluate(engine_speed, engine_torque, clamp=True))
+    fuel = np.maximum(0.0, model.fuel_map.evaluate(engine_speed, engine_torque))
     flags |= np.where(model.fuel_map.out_of_domain(engine_speed, engine_torque), FLAG_CLAMPED, 0)
     cut = (v > c.cut_speed) & (force < c.cut_force)
     fuel[cut] = 0.0

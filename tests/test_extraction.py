@@ -311,7 +311,7 @@ class TestConstructorsNameTheValue:
 
 class TestFitAllMaps:
     def test_engine_speed_map_recovers_gear_ratio(self, vehicle, dataset):
-        maps = fit_all_maps(dataset)
+        maps = fit_all_maps(dataset, min_torque=-np.inf)
         for k in range(1, vehicle.params.n_gears + 1):
             coeffs = maps.engine_speed_maps[k - 1].coeffs
             assert coeffs[1, 0] == pytest.approx(vehicle.params.gear_ratios[k - 1], abs=1e-6)
@@ -332,21 +332,21 @@ class TestFitAllMaps:
     def test_missing_gear_raises(self, vehicle):
         ds = run_vcd(vehicle, [urban_cycle()])  # never reaches top gear
         with pytest.raises(InsufficientGearData) as info:
-            fit_all_maps(ds)
+            fit_all_maps(ds, min_torque=-np.inf)
         assert info.value.gear == vehicle.params.n_gears
 
     @pytest.mark.parametrize("min_gear_samples", [0, -5])
     def test_min_gear_samples_below_1_rejected(self, dataset, min_gear_samples):
         with pytest.raises(InvalidArgument, match="min_gear_samples must be at least 1, "
                                                   f"got {min_gear_samples}"):
-            fit_all_maps(dataset, min_gear_samples=min_gear_samples)
+            fit_all_maps(dataset, min_torque=-np.inf, min_gear_samples=min_gear_samples)
 
     def test_order_independence(self, vehicle, cycles, dataset):
         shuffled = VcdDataset(params=dataset.params,
                               traces=list(reversed(dataset.traces)),
                               events=list(reversed(dataset.events)))
-        a = fit_all_maps(dataset)
-        b = fit_all_maps(shuffled)
+        a = fit_all_maps(dataset, min_torque=-np.inf)
+        b = fit_all_maps(shuffled, min_torque=-np.inf)
         assert np.allclose(a.fuel_map.coeffs, b.fuel_map.coeffs, atol=1e-9)
         for ma, mb in zip(a.torque_maps, b.torque_maps):
             assert np.allclose(ma.coeffs, mb.coeffs, atol=1e-7)

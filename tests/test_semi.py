@@ -3,7 +3,6 @@ import pytest
 
 from vcdfuel.jsonio import write_json
 from vcdfuel.semi_principled import (
-    eval_semi,
     eval_semi_trace,
     evaluate,
     load_semi_model,
@@ -23,16 +22,15 @@ def trapezoid_oracle(t, f):
 
 class TestEvalSemi:
     def test_idle_rule(self, semi_model):
-        gear, speed, torque, pedal, fuel = eval_semi(semi_model, 0.0, 0.0, 0.0)
-        assert fuel == semi_model.constants.idle_fuel
-        assert gear == 1
-        assert speed == semi_model.params.engine_speed_idle
-        assert pedal == 0.0
+        out = evaluate(semi_model, 0.0, 0.0, 0.0)
+        assert out["fuel"][0] == semi_model.constants.idle_fuel
+        assert out["gear"][0] == 1
+        assert out["engine_speed"][0] == semi_model.params.engine_speed_idle
+        assert out["pedal"][0] == 0.0
 
     def test_fuel_cut_rule(self, semi_model):
         v = semi_model.constants.cut_speed + 5.0
-        _, _, _, _, fuel = eval_semi(semi_model, v, -3.0, 0.0)
-        assert fuel == 0.0
+        assert evaluate(semi_model, v, -3.0, 0.0)["fuel"][0] == 0.0
 
     def test_fuel_nonnegative_on_domain(self, semi_model):
         rng = np.random.default_rng(21)
@@ -44,7 +42,9 @@ class TestEvalSemi:
 
     def test_purity(self, semi_model):
         point = (17.3, 0.8, 0.02)
-        assert eval_semi(semi_model, *point) == eval_semi(semi_model, *point)
+        first, second = evaluate(semi_model, *point), evaluate(semi_model, *point)
+        for key, val in first.items():
+            assert np.array_equal(val, second[key]), key
 
     def test_out_of_domain_clamped_and_flagged(self, semi_model):
         out = evaluate(semi_model, semi_model.speed_max + 10.0, 9.0, 0.3)
@@ -89,7 +89,7 @@ class TestEvalSemiTrace:
         tr = dataset.traces[0]
         model_trace = eval_semi_trace(semi_model, tr.t, tr.v, tr.a)
         from vcdfuel.validation import cumulative_fuel
-        total, _ = cumulative_fuel(model_trace)
+        total, _ = cumulative_fuel(model_trace.t, model_trace.fuel)
         assert total == pytest.approx(trapezoid_oracle(model_trace.t, model_trace.fuel), rel=1e-12)
 
 

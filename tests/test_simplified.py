@@ -64,7 +64,8 @@ class TestExactRecovery:
 
     def test_quadrature_convergence_on_representable_target(self):
         coarse = refit_oracle(ORACLE_GRID)
-        fine = refit_oracle(ORACLE_GRID.refined(2))
+        fine = refit_oracle(dataclasses.replace(
+            ORACLE_GRID, shape=tuple(2 * n for n in ORACLE_GRID.shape)))
         for name in ("coeff_c", "coeff_p", "coeff_q", "coeff_z"):
             a, b = getattr(coarse, name), getattr(fine, name)
             assert np.all(np.abs(b - a) <= 0.01 * np.abs(a) + 1e-12), name
@@ -161,7 +162,7 @@ class TestTraceEvaluation:
         from vcdfuel.validation import cumulative_fuel
         tr = dataset.traces[0]
         model_trace = eval_simplified_trace(simplified_model, tr.t, tr.v, tr.a)
-        total, _ = cumulative_fuel(model_trace)
+        total, _ = cumulative_fuel(model_trace.t, model_trace.fuel)
         oracle = 0.0
         for i in range(len(tr) - 1):
             oracle += 0.5 * (model_trace.fuel[i] + model_trace.fuel[i + 1]) \
@@ -200,7 +201,9 @@ class TestStructure:
     def test_surface_converges_under_grid_refinement(self, semi_model, simplified_model):
         # function-space statement: the fitted polynomial branch moves by
         # less than 1% of the surface scale when the quadrature grid doubles
-        fine = fit_simplified(semi_model, default_grid(semi_model).refined(2))
+        grid = default_grid(semi_model)
+        fine = fit_simplified(semi_model, dataclasses.replace(
+            grid, shape=tuple(2 * n for n in grid.shape)))
         m = simplified_model
         v = np.linspace(0, m.v_range[1], 60)
         a = np.linspace(m.a_range[0], m.a_range[1], 40)
