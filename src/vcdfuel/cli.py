@@ -29,7 +29,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import __version__, dyno, extraction, simplified, synthetic
-from .drive_cycles import load_cycle
+from .drive_cycles import UNIT_FACTORS, load_cycle
 from .dyno import process_log, read_dyno_csv, write_dyno_csv
 from .errors import MissingPrerequisite, ParseError, VcdFuelError
 from .extraction import VcdDataset, run_vcd
@@ -103,7 +103,7 @@ def _checked_config(doc):
     return doc
 
 
-_UNITS = ("mps", "kph", "mph")
+_UNITS = tuple(UNIT_FACTORS)
 _JSON_TYPES = {dict: "an object", list: "a list", bool: "true or false",
                int: "an integer", float: "a number"}
 

@@ -17,7 +17,7 @@ from .errors import MonotonicityError, ParseError, UnitError
 from .trace import uniform_grid
 
 # factors converting the named unit TO m/s
-_UNIT_FACTORS = {
+UNIT_FACTORS = {
     "mps": 1.0,
     "kph": 1.0 / 3.6,
     "mph": 0.44704,
@@ -69,19 +69,19 @@ def load_cycle(path, unit: str = "mps") -> DriveCycle:
     The cycle is named after the file stem.
     """
     path = Path(path)
-    if unit not in _UNIT_FACTORS:
-        raise UnitError(f"unknown unit '{unit}' (expected one of {sorted(_UNIT_FACTORS)})")
+    if unit not in UNIT_FACTORS:
+        raise UnitError(f"unknown unit '{unit}' (expected one of {sorted(UNIT_FACTORS)})")
     data = read_columns(path)
     if list(data) != ["t", "v"]:
         raise ParseError(f"{path}: expected header 't,v', got {','.join(data)!r}")
-    return DriveCycle(name=path.stem, t=data["t"], v=data["v"] * _UNIT_FACTORS[unit])
+    return DriveCycle(name=path.stem, t=data["t"], v=data["v"] * UNIT_FACTORS[unit])
 
 
 def save_cycle(cycle: DriveCycle, path, unit: str = "mps") -> None:
     """Write a cycle back to `t,v` CSV in the requested unit."""
-    if unit not in _UNIT_FACTORS:
+    if unit not in UNIT_FACTORS:
         raise UnitError(f"unknown unit '{unit}'")
-    write_columns(path, {"t": cycle.t, "v": cycle.v / _UNIT_FACTORS[unit]}, "%.10g")
+    write_columns(path, {"t": cycle.t, "v": cycle.v / UNIT_FACTORS[unit]}, "%.10g")
 
 
 def resample(cycle: DriveCycle, dt: float) -> DriveCycle:

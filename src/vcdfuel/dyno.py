@@ -138,10 +138,11 @@ def _check_mu(mu: float) -> None:
 def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray:
     """Iterated three-point weighted average.
 
-    Each pass replaces every interior point with
+    Each pass replaces every point with
     mu/2 * left + (1 - mu) * center + mu/2 * right, reading the previous
-    pass's values throughout (full-pass update); the two endpoints are
-    left untouched.
+    pass's values throughout (full-pass update). An endpoint's missing
+    neighbour is its mirror, the one inside: s[0] becomes
+    (1 - mu) * s[0] + mu * s[1], and likewise s[-1] with s[-2].
     """
     _check_mu(mu)
     if steps < 0:
@@ -150,7 +151,8 @@ def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray
     if s.size < 3:
         raise SeriesTooShort(f"need at least 3 samples, got {s.size}")
     for _ in range(steps):
-        s[1:-1] = 0.5 * mu * (s[:-2] + s[2:]) + (1.0 - mu) * s[1:-1]
+        mirrored = np.pad(s, 1, mode="reflect")
+        s = 0.5 * mu * (mirrored[:-2] + mirrored[2:]) + (1.0 - mu) * s
     return s
 
 

@@ -213,6 +213,14 @@ class GearShiftMaps:
         return np.interp(speed, self.torque_curve_speed, self.torque_curve)
 
 
+def check_shift_tables(maps: GearShiftMaps, n_gears: int) -> None:
+    """Raise unless ``maps`` holds one upshift and one downshift speed per
+    gear change of an ``n_gears`` gearbox."""
+    if maps.upshift_speeds.size != n_gears - 1:
+        raise InvalidArgument(f"need {n_gears - 1} upshift and downshift speeds for {n_gears} "
+                              f"gears, got {maps.upshift_speeds.size}")
+
+
 SHIFT_MAPS_KEYS = {
     "upshift_speeds": "upshift_speeds_mps", "downshift_speeds": "downshift_speeds_mps",
     "pedal_gain": "pedal_gain_per_pct",
@@ -255,6 +263,9 @@ class ReferenceVehicle:
     fuel_map: EngineFuelMap
     shift_maps: GearShiftMaps
     control: ControlParams = field(default_factory=ControlParams)
+
+    def __post_init__(self):
+        check_shift_tables(self.shift_maps, self.params.n_gears)
 
 
 # --- physics -----------------------------------------------------------------

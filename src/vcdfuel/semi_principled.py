@@ -41,6 +41,7 @@ from .powertrain import (
     GearShiftMaps,
     ReferenceVehicle,
     VehicleParams,
+    check_shift_tables,
     invert_driveline,
     launch_torque,
     max_wheel_torque_by_gear,
@@ -76,6 +77,10 @@ class SemiPrincipledModel:
         n = self.params.n_gears
         if len(self.engine_speed_maps) != n or len(self.torque_maps) != n:
             raise InvalidArgument("need one engine-speed and one torque map per gear")
+        if self.constants.downshift_cutoffs.shape != (n,):
+            raise InvalidArgument(f"need {n} downshift cutoffs for {n} gears, got "
+                                  f"{self.constants.downshift_cutoffs.size}")
+        check_shift_tables(self.shift_maps, n)
         degrees = sorted(map(list, {m.degree for m in (*self.engine_speed_maps, *self.torque_maps)}))
         if len(degrees) > 1:
             raise InvalidArgument(f"gear maps must share one degree, got {degrees}")

@@ -54,6 +54,14 @@ def edited(edit):
     return damage
 
 
+def cut_shift_tables(n):
+    """An edit keeping the first ``n`` upshift and downshift speeds."""
+    def edit(doc):
+        for key in ("upshift_speeds_mps", "downshift_speeds_mps"):
+            doc["shifting"][key] = doc["shifting"][key][:n]
+    return edit
+
+
 def gear_map_of_other_degree(text):
     """A semi_model.json whose third torque map is a consistent (2, 1) map."""
     doc = json.loads(text)
@@ -220,9 +228,16 @@ class TestBadInputsExit1:
          "simplified_model.json"),
         ("validate", "simplified_model.json",
          edited(lambda doc: doc.update(v_range_mps=[0, 30, 40])), "reports/report.json"),
+        ("fit-simplified", "semi_model.json",
+         edited(lambda doc: doc["constants"]["downshift_cutoffs_mps"].pop()),
+         "simplified_model.json"),
+        ("fit-simplified", "semi_model.json", edited(cut_shift_tables(4)), "simplified_model.json"),
+        ("validate", "simplified_model.json", edited(lambda doc: doc["cut_boundary"].pop()),
+         "reports/report.json"),
     ], ids=["truncated-semi-model", "gear-maps-of-unequal-degree",
             "simplified-model-without-coeff-c", "manifest-cycles-int",
-            "fuel-map-domain-of-three", "fuel-map-zero-x-std", "simplified-range-of-three"])
+            "fuel-map-domain-of-three", "fuel-map-zero-x-std", "simplified-range-of-three",
+            "five-downshift-cutoffs", "semi-shift-tables-of-four", "cut-boundary-of-five"])
     def test_malformed_json_artifact(self, pipeline_out, tmp_path, capsys,
                                      stage, artifact, damage, downstream):
         out = tmp_path / "out"
@@ -387,8 +402,9 @@ class TestBadInputsExit1:
          "with strictly ascending accel, got [[1, 5], [0, 2]]"),
         (lambda doc: doc["shifting"]["torque_curve_nm"].pop(),
          "torque_curve must have one value per torque_curve_speed entry, got 7 and 8"),
+        (cut_shift_tables(3), "need 5 upshift and downshift speeds for 6 gears, got 3"),
     ], ids=["missing-mass", "negative-mass", "zero-idle-fuel", "negative-idle-fuel",
-            "one-number-knot", "descending-knots", "short-torque-curve"])
+            "one-number-knot", "descending-knots", "short-torque-curve", "shift-tables-of-three"])
     def test_bad_vehicle_json(self, tmp_path, capsys, edit, reason):
         doc = vehicle_to_dict(default_vehicle())
         edit(doc)

@@ -24,6 +24,7 @@ from vcdfuel.errors import (
     NeverHot,
     NonPositiveSlope,
     SeriesTooShort,
+    VcdFuelError,
 )
 from vcdfuel.synthetic import builtin_cycles, cruise_cycle, default_vehicle, make_dyno_log
 from vcdfuel.trace import RADPS_TO_RPM, Trace
@@ -100,9 +101,10 @@ class TestDeriveSpeed:
 
 class TestSmoothSpeed:
     def test_three_point_average_formula(self):
-        # mu/2 * left + (1-mu) * center + mu/2 * right, computed by hand
+        # mu/2 * left + (1-mu) * center + mu/2 * right, computed by hand;
+        # each endpoint's missing neighbour mirrors the one inside
         out = smooth_speed([0.0, 4.0, 0.0], mu=0.5, steps=1)
-        assert np.allclose(out, [0.0, 2.0, 0.0])
+        assert np.allclose(out, [2.0, 2.0, 2.0])
 
     def test_constant_series_fixed_point(self):
         out = smooth_speed(np.full(20, 7.0), mu=0.5, steps=50)
@@ -114,15 +116,17 @@ class TestSmoothSpeed:
 
     def test_full_pass_not_in_place(self):
         # a Gauss-Seidel sweep would read already-updated neighbors and
-        # produce [0, 3, 2.75, 0]; the full-pass update gives [0, 3, 3, 0]
+        # produce [2, 3.5, 2.875, 1.4375]; the full-pass update gives [2, 3, 3, 2]
         out = smooth_speed([0.0, 4.0, 4.0, 0.0], mu=0.5, steps=1)
-        assert np.allclose(out, [0.0, 3.0, 3.0, 0.0])
+        assert np.allclose(out, [2.0, 3.0, 3.0, 2.0])
 
-    def test_endpoints_unchanged(self):
+    def test_endpoints_average_with_the_neighbour_inside(self):
         rng = np.random.default_rng(42)
         series = rng.uniform(0, 30, 50)
+        before = smooth_speed(series, mu=0.7, steps=24)
         out = smooth_speed(series, mu=0.7, steps=25)
-        assert out[0] == series[0] and out[-1] == series[-1]
+        assert out[0] == (1 - 0.7) * before[0] + 0.7 * before[1]
+        assert out[-1] == (1 - 0.7) * before[-1] + 0.7 * before[-2]
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -280,6 +284,20 @@ class TestProcessLog:
         assert profile.provenance["smoothing_steps"] >= 1
         assert profile.provenance["slope_kph_per_rpm"] == pytest.approx(0.0398, rel=0.005)
         assert profile.provenance["hot_window_s"][0] > 0
+
+    def test_every_seeded_rig_log_ingests(self):
+        # the whole seed range, none picked to pass; aggressive with warm-up
+        # is left out because that cycle ends before the engine is hot
+        cycles, vehicle = builtin_cycles(), default_vehicle()
+        runs = [(name, warmup) for name in ("cruise", "urban") for warmup in (False, True)]
+        failed = []
+        for name, warmup in [*runs, ("aggressive", False)]:
+            for seed in range(60):
+                try:
+                    process_log(make_dyno_log(cycles[name], vehicle, seed=seed, warmup=warmup))
+                except VcdFuelError as exc:
+                    failed.append(f"{name} seed {seed} warmup={warmup}: {exc}")
+        assert failed == []
 
 
 def log_to_trace(log, profile):
