@@ -90,8 +90,8 @@ class SimplifiedModel:
         for name in ("coeff_c", "coeff_p", "coeff_q", "coeff_z", "cut_boundary"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.cut_boundary.shape != (len(CUT_BOUNDARY_TERMS),):
-            raise InvalidArgument(f"cut_boundary needs one entry per term of {CUT_BOUNDARY_TERMS}"
-                                  f", got {self.cut_boundary.size}")
+            raise InvalidArgument(f"cut_boundary needs {len(CUT_BOUNDARY_TERMS)} entries, one per "
+                                  f"term, got {self.cut_boundary.size}")
         if self.beta <= 0 or self.cut_speed <= 0:
             raise InvalidArgument("beta and cut_speed must be positive")
         for name in ("v_range", "a_range", "grade_range"):
