@@ -352,8 +352,6 @@ def cmd_validate(run: Run) -> None:
             name = ref.name
             ref = replace(ref, name=f"{name}_reference")
             semi_tr, simp_tr = _model_traces_for(semi, simp, ref, name)
-            write_trace_csv(semi_tr, run.out / "traces" / f"{name}_semi.csv")
-            write_trace_csv(simp_tr, run.out / "traces" / f"{name}_simplified.csv")
             pairs.append((f"{name}_semi", ref, semi_tr))
             pairs.append((f"{name}_simplified", ref, simp_tr))
             pairs.append((f"{name}_closure", semi_tr, simp_tr))

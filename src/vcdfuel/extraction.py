@@ -31,6 +31,7 @@ from .powertrain import (
     STANDSTILL_SPEED,
     ReferenceVehicle,
     VehicleParams,
+    float_table,
     launch_knots,
     launch_torque,
     simulate,
@@ -144,7 +145,7 @@ class ExtractedConstants:
 
     def __post_init__(self):
         object.__setattr__(self, "downshift_cutoffs",
-                           np.asarray(self.downshift_cutoffs, dtype=float))
+                           float_table("downshift_cutoffs", self.downshift_cutoffs))
         object.__setattr__(self, "launch_correction", launch_knots(self.launch_correction))
         object.__setattr__(self, "interpolated_gears", tuple(self.interpolated_gears))
         if self.idle_fuel <= 0:

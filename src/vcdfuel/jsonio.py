@@ -5,6 +5,7 @@ json_key}`` table per type, which ``to_doc`` and ``from_doc`` both follow."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -53,9 +54,38 @@ def to_doc(obj, keys: dict) -> dict:
 def from_doc(cls, doc: dict, keys: dict, optional=()):
     """``cls`` built from the values of ``doc`` that the same table names. A
     key absent from ``doc`` raises KeyError unless its attribute is in
-    ``optional``, which leaves it at the type's default."""
-    return cls(**{attr: doc[key] for attr, key in keys.items()
+    ``optional``, which leaves it at the type's default. Each value must have
+    the JSON kind of its field's annotation, see ``field_value``; the type's
+    constructor checks the rest."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    return cls(**{attr: field_value(doc, key, kinds[attr]) for attr, key in keys.items()
                   if key in doc or attr not in optional})
+
+
+def field_value(doc: dict, key: str, kind: str = "float"):
+    """``doc[key]``, which must have the JSON kind that the annotation
+    ``kind`` names: a number, never a bool or a string, for ``float``; an
+    object for ``dict``; for any other a table, a list of numbers or of such
+    lists. A value of another kind raises TypeError naming the key."""
+    val = doc[key]
+    if kind == "dict":
+        ok, expected = isinstance(val, dict), "an object"
+    elif kind == "float":
+        ok, expected = _is_number(val), "a number"
+    else:
+        ok, expected = _is_table(val), "a list of numbers"
+    if not ok:
+        got = json.dumps(val)
+        raise TypeError(f"'{key}' must be {expected}, got {got[:40]}{'...' * (len(got) > 40)}")
+    return val
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_table(val) -> bool:
+    return isinstance(val, list) and all(_is_number(item) or _is_table(item) for item in val)
 
 
 def _plain(value):

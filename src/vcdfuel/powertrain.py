@@ -32,6 +32,18 @@ FUEL_LHV = 43500.0  # J/g, lower heating value of the fuel
 STANDSTILL_SPEED = 0.1  # m/s
 
 
+def float_table(name: str, values, min_size: int = 1) -> np.ndarray:
+    """``values`` as a 1-D float array; InvalidArgument naming ``name``
+    unless it is a flat list of at least ``min_size`` numbers."""
+    table = np.asarray(values, dtype=float)
+    if table.ndim != 1:
+        raise InvalidArgument(f"{name} must be a flat list of numbers, got shape "
+                              f"{list(table.shape)}")
+    if table.size < min_size:
+        raise InvalidArgument(f"{name} needs {min_size} or more entries, got {table.size}")
+    return table
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Principled vehicle constants.
@@ -54,8 +66,8 @@ class VehicleParams:
     driveline_eff: float = 0.92
 
     def __post_init__(self):
-        object.__setattr__(self, "gear_masses", np.asarray(self.gear_masses, dtype=float))
-        object.__setattr__(self, "gear_ratios", np.asarray(self.gear_ratios, dtype=float))
+        for name in ("gear_masses", "gear_ratios"):
+            object.__setattr__(self, name, float_table(name, getattr(self, name)))
         if len(self.gear_masses) != len(self.gear_ratios):
             raise InvalidArgument("gear_masses and gear_ratios must have the same length, got "
                                   f"{len(self.gear_masses)} and {len(self.gear_ratios)}")
@@ -100,13 +112,14 @@ class EngineFuelMap:
     fuel: np.ndarray  # shape (len(speed_grid), len(torque_grid))
 
     def __post_init__(self):
-        object.__setattr__(self, "speed_grid", np.asarray(self.speed_grid, dtype=float))
-        object.__setattr__(self, "torque_grid", np.asarray(self.torque_grid, dtype=float))
-        object.__setattr__(self, "fuel", np.asarray(self.fuel, dtype=float))
         for name in ("speed_grid", "torque_grid"):
-            if np.any(np.diff(getattr(self, name)) <= 0):
+            # bilinear interpolation needs two points along each grid
+            grid = float_table(name, getattr(self, name), min_size=2)
+            if np.any(np.diff(grid) <= 0):
                 raise InvalidArgument("fuel map grids must be strictly ascending, got "
-                                      f"{name} {getattr(self, name).tolist()}")
+                                      f"{name} {grid.tolist()}")
+            object.__setattr__(self, name, grid)
+        object.__setattr__(self, "fuel", np.asarray(self.fuel, dtype=float))
         if self.fuel.shape != (self.speed_grid.size, self.torque_grid.size):
             raise InvalidArgument(f"fuel table shape does not match grids, got {self.fuel.shape} "
                                   f"for {self.speed_grid.size} x {self.torque_grid.size} grids")
@@ -173,8 +186,10 @@ class GearShiftMaps:
     torque_curve: np.ndarray        # Nm, max engine torque at each speed
 
     def __post_init__(self):
-        for name in ("upshift_speeds", "downshift_speeds", "torque_curve_speed", "torque_curve"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # the shift tables' length is the gear count's, see check_shift_tables
+        for name, min_size in (("upshift_speeds", 0), ("downshift_speeds", 0),
+                               ("torque_curve_speed", 1), ("torque_curve", 1)):
+            object.__setattr__(self, name, float_table(name, getattr(self, name), min_size))
         if self.upshift_speeds.size != self.downshift_speeds.size:
             raise InvalidArgument("upshift and downshift tables must have the same length, got "
                                   f"{self.upshift_speeds.size} and {self.downshift_speeds.size}")

@@ -33,7 +33,7 @@ from .extraction import (
     fit_all_maps,
     run_vcd,
 )
-from .jsonio import from_doc, read_json, to_doc
+from .jsonio import field_value, from_doc, read_json, to_doc
 from .powertrain import (
     GRAVITY,
     SHIFT_MAPS_KEYS,
@@ -74,6 +74,8 @@ class SemiPrincipledModel:
     _gear_tables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.speed_max > 0:
+            raise InvalidArgument(f"speed_max must be positive, got {self.speed_max}")
         n = self.params.n_gears
         if len(self.engine_speed_maps) != n or len(self.torque_maps) != n:
             raise InvalidArgument("need one engine-speed and one torque map per gear")
@@ -308,7 +310,7 @@ def model_from_dict(doc: dict) -> SemiPrincipledModel:
         engine_speed_maps=tuple(map(PolyMap2D.from_dict, doc["engine_speed_maps"])),
         torque_maps=tuple(map(PolyMap2D.from_dict, doc["torque_maps"])),
         shift_maps=from_doc(GearShiftMaps, doc["shifting"], SHIFT_MAPS_KEYS),
-        speed_max=doc["speed_max_mps"],
+        speed_max=field_value(doc, "speed_max_mps"),
         metadata=doc.get("metadata", {}),
     )
 

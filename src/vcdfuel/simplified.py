@@ -20,8 +20,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .errors import ConstraintInfeasible, InvalidArgument, RankDeficient
-from .jsonio import from_doc, read_json, to_doc
-from .powertrain import STANDSTILL_SPEED
+from .jsonio import field_value, from_doc, read_json, to_doc
+from .powertrain import STANDSTILL_SPEED, float_table
 from .semi_principled import SemiPrincipledModel, broadcast_inputs, domain_excess, evaluate
 from .trace import FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
 
@@ -88,7 +88,7 @@ class SimplifiedModel:
 
     def __post_init__(self):
         for name in ("coeff_c", "coeff_p", "coeff_q", "coeff_z", "cut_boundary"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, float_table(name, getattr(self, name)))
         if self.cut_boundary.shape != (len(CUT_BOUNDARY_TERMS),):
             raise InvalidArgument(f"cut_boundary needs {len(CUT_BOUNDARY_TERMS)} entries, one per "
                                   f"term, got {self.cut_boundary.size}")
@@ -346,6 +346,10 @@ def simplified_to_dict(model: SimplifiedModel) -> dict:
 
 
 def simplified_from_dict(doc: dict) -> SimplifiedModel:
+    # cut_boundary holds one coefficient per term, in this order
+    terms = [list(term) for term in CUT_BOUNDARY_TERMS]
+    if "cut_boundary_terms" in doc and field_value(doc, "cut_boundary_terms", "table") != terms:
+        raise ValueError(f"cut_boundary_terms must be {terms}")
     return from_doc(SimplifiedModel, doc, SIMPLIFIED_KEYS, optional={"diagnostics"})
 
 

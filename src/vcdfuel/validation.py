@@ -29,18 +29,13 @@ class AlignedPair:
 
 
 def _interp_columns(trace: Trace, grid: np.ndarray) -> dict[str, np.ndarray]:
+    # integer columns (gear, flags) take the nearest sample, never an
+    # interpolated blend
+    nearest = np.searchsorted(0.5 * (trace.t[:-1] + trace.t[1:]), grid)
     out = {}
     for col in trace.columns():
-        if col == "flags":
-            continue
         src = getattr(trace, col)
-        if col == "gear":
-            # integers take the nearest sample, never an interpolated blend
-            centers = 0.5 * (trace.t[:-1] + trace.t[1:])
-            idx = np.searchsorted(centers, grid)
-            out[col] = src[idx]
-        else:
-            out[col] = np.interp(grid, trace.t, src)
+        out[col] = src[nearest] if src.dtype.kind == "i" else np.interp(grid, trace.t, src)
     return out
 
 
@@ -179,14 +174,15 @@ def _pair_metrics(cycle: str, ref: Trace, model: Trace, pair: AlignedPair,
 
 def write_comparison_csv(pair: AlignedPair, path) -> None:
     """Per-timestep data behind the usual comparison panels: fuel rate,
-    cumulative fuel, gear, engine speed, engine torque."""
+    cumulative fuel, gear, engine speed, engine torque, pedal and flags."""
     _, cum_ref = cumulative_fuel(pair.t, pair.ref["fuel"])
     _, cum_model = cumulative_fuel(pair.t, pair.model["fuel"])
     cols = {"t": pair.t,
             "fuel_ref_gps": pair.ref["fuel"], "fuel_model_gps": pair.model["fuel"],
             "cumfuel_ref_g": cum_ref, "cumfuel_model_g": cum_model}
     for key, label in (("gear", "gear"), ("engine_speed", "engine_speed_radps"),
-                       ("engine_torque", "engine_torque_nm"), ("pedal", "pedal_pct")):
+                       ("engine_torque", "engine_torque_nm"), ("pedal", "pedal_pct"),
+                       ("flags", "flags")):
         if key in pair.ref and key in pair.model:
             cols[f"{label}_ref"] = pair.ref[key]
             cols[f"{label}_model"] = pair.model[key]

@@ -6,10 +6,12 @@ from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from vcdfuel import cli, validation
 from vcdfuel.cli import DEFAULT_CONFIG, config_hash, load_config, main
+from vcdfuel.csvio import read_columns
 from vcdfuel.drive_cycles import save_cycle
 from vcdfuel.dyno import (
     DYNO_COLUMNS,
@@ -22,8 +24,19 @@ from vcdfuel.dyno import (
 )
 from vcdfuel.extraction import fit_all_maps, run_vcd
 from vcdfuel.powertrain import STANDSTILL_SPEED, simulate, vehicle_to_dict
-from vcdfuel.semi_principled import build_semi_model, build_semi_model_from_dataset
-from vcdfuel.simplified import DEFAULT_DEGREES, FitGrid, default_grid
+from vcdfuel.semi_principled import (
+    build_semi_model,
+    build_semi_model_from_dataset,
+    eval_semi_trace,
+    load_semi_model,
+)
+from vcdfuel.simplified import (
+    DEFAULT_DEGREES,
+    FitGrid,
+    default_grid,
+    eval_simplified_trace,
+    load_simplified,
+)
 from vcdfuel.synthetic import (
     builtin_cycles,
     cruise_cycle,
@@ -32,7 +45,7 @@ from vcdfuel.synthetic import (
     urban_cycle,
 )
 from vcdfuel.trace import read_trace_csv, write_trace_csv
-from vcdfuel.validation import align, build_report, compare_pair
+from vcdfuel.validation import align, build_report, compare_pair, cumulative_fuel
 
 
 def sha256(path):
@@ -62,6 +75,35 @@ def cut_shift_tables(n):
     return edit
 
 
+def wrapped(section, *keys):
+    """An edit wrapping the lists under ``keys`` in one more list."""
+    def edit(doc):
+        for key in keys:
+            doc[section][key] = [doc[section][key]]
+    return edit
+
+
+def emptied(section, *keys):
+    """An edit emptying the lists under ``keys``."""
+    def edit(doc):
+        for key in keys:
+            doc[section][key] = []
+    return edit
+
+
+def one_grid_point(grid):
+    """An edit cutting the engine map to the first point of its ``grid``."""
+    def edit(doc):
+        fuel_map = doc["engine_map"]
+        if grid == "speed":
+            fuel_map["speed_grid_radps"] = fuel_map["speed_grid_radps"][:1]
+            fuel_map["fuel_gps"] = fuel_map["fuel_gps"][:1]
+        else:
+            fuel_map["torque_grid_nm"] = fuel_map["torque_grid_nm"][:1]
+            fuel_map["fuel_gps"] = [row[:1] for row in fuel_map["fuel_gps"]]
+    return edit
+
+
 def gear_map_of_other_degree(text):
     """A semi_model.json whose third torque map is a consistent (2, 1) map."""
     doc = json.loads(text)
@@ -74,6 +116,13 @@ def gear_map_of_other_degree(text):
 def pipeline_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
     assert main(["pipeline", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def plots_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("plots")
+    assert main(["pipeline", "--out", str(out), "--plots"]) == 0
     return out
 
 
@@ -234,10 +283,20 @@ class TestBadInputsExit1:
         ("fit-simplified", "semi_model.json", edited(cut_shift_tables(4)), "simplified_model.json"),
         ("validate", "simplified_model.json", edited(lambda doc: doc["cut_boundary"].pop()),
          "reports/report.json"),
+        ("fit-simplified", "semi_model.json",
+         edited(emptied("shifting", "torque_curve_speed_radps", "torque_curve_nm")),
+         "simplified_model.json"),
+        ("validate", "semi_model.json", edited(lambda doc: doc.update(speed_max_mps=-5)),
+         "reports/report.json"),
+        ("validate", "simplified_model.json", edited(lambda doc: doc.update(coeff_c=[])),
+         "reports/report.json"),
+        ("validate", "simplified_model.json", edited(lambda doc: doc.update(coeff_c=[[1.0, 2.0]])),
+         "reports/report.json"),
     ], ids=["truncated-semi-model", "gear-maps-of-unequal-degree",
             "simplified-model-without-coeff-c", "manifest-cycles-int",
             "fuel-map-domain-of-three", "fuel-map-zero-x-std", "simplified-range-of-three",
-            "five-downshift-cutoffs", "semi-shift-tables-of-four", "cut-boundary-of-five"])
+            "five-downshift-cutoffs", "semi-shift-tables-of-four", "cut-boundary-of-five",
+            "semi-empty-torque-curve", "negative-speed-max", "empty-coeff-c", "nested-coeff-c"])
     def test_malformed_json_artifact(self, pipeline_out, tmp_path, capsys,
                                      stage, artifact, damage, downstream):
         out = tmp_path / "out"
@@ -403,8 +462,28 @@ class TestBadInputsExit1:
         (lambda doc: doc["shifting"]["torque_curve_nm"].pop(),
          "torque_curve must have one value per torque_curve_speed entry, got 7 and 8"),
         (cut_shift_tables(3), "need 5 upshift and downshift speeds for 6 gears, got 3"),
+        (lambda doc: doc["shifting"].update(pedal_gain_per_pct="0.004"),
+         "'pedal_gain_per_pct' must be a number, got \"0.004\""),
+        (lambda doc: doc["control"].update(fuel_cut_speed_mps="6"),
+         "'fuel_cut_speed_mps' must be a number, got \"6\""),
+        (lambda doc: doc["params"].update(road_load_a_n="120.0"),
+         "'road_load_a_n' must be a number, got \"120.0\""),
+        (lambda doc: doc["control"].update(idle_torque_nm="3"),
+         "'idle_torque_nm' must be a number, got \"3\""),
+        (lambda doc: doc["params"].update(mass_kg=True), "'mass_kg' must be a number, got true"),
+        (wrapped("shifting", "upshift_speeds_mps", "downshift_speeds_mps"),
+         "upshift_speeds must be a flat list of numbers, got shape [1, 5]"),
+        (wrapped("shifting", "torque_curve_speed_radps", "torque_curve_nm"),
+         "torque_curve_speed must be a flat list of numbers, got shape [1, 8]"),
+        (emptied("shifting", "torque_curve_speed_radps", "torque_curve_nm"),
+         "torque_curve_speed needs 1 or more entries, got 0"),
+        (one_grid_point("speed"), "speed_grid needs 2 or more entries, got 1"),
+        (one_grid_point("torque"), "torque_grid needs 2 or more entries, got 1"),
     ], ids=["missing-mass", "negative-mass", "zero-idle-fuel", "negative-idle-fuel",
-            "one-number-knot", "descending-knots", "short-torque-curve", "shift-tables-of-three"])
+            "one-number-knot", "descending-knots", "short-torque-curve", "shift-tables-of-three",
+            "string-pedal-gain", "string-cut-speed", "string-road-load", "string-idle-torque",
+            "bool-mass", "nested-shift-tables", "nested-torque-curve", "empty-torque-curve",
+            "one-speed-grid-point", "one-torque-grid-point"])
     def test_bad_vehicle_json(self, tmp_path, capsys, edit, reason):
         doc = vehicle_to_dict(default_vehicle())
         edit(doc)
@@ -414,7 +493,8 @@ class TestBadInputsExit1:
         cfg.write_text(json.dumps({"vehicle": str(vehicle)}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert str(vehicle) in err and reason in err
+        assert err.startswith(f"error: {vehicle}: ") and reason in err
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:
@@ -516,7 +596,10 @@ class TestInMemoryPipeline:
 class TestValidateEquivalence:
     def test_cli_validate_matches_library_report(self, pipeline_out, tmp_path):
         ref_path = pipeline_out / "traces" / "cruise_reference.csv"
-        model_path = pipeline_out / "traces" / "cruise_semi.csv"
+        model_path = tmp_path / "cruise_semi.csv"
+        ref = read_trace_csv(ref_path)
+        semi = load_semi_model(pipeline_out / "semi_model.json")
+        write_trace_csv(eval_semi_trace(semi, ref.t, ref.v, ref.a, ref.grade), model_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"validate_pairs": [
             {"name": "cruise_pair", "ref": str(ref_path), "model": str(model_path)}]}))
@@ -739,20 +822,25 @@ class TestPlotsAndDynoPairs:
 
 
 BUILTIN_ARTIFACTS = sorted([
-    *(f"traces/{cycle}_{kind}.csv" for cycle in ("aggressive", "cruise", "urban")
-      for kind in ("reference", "semi", "simplified")),
+    *(f"traces/{cycle}_reference.csv" for cycle in ("aggressive", "cruise", "urban")),
     "traces/manifest.json", "semi_model.json", "simplified_model.json",
     "profiles/cruise_dyno_raw.csv", "profiles/cruise_dyno_profile.json",
     "profiles/cruise_dyno_trace.csv", "reports/report.json", "reports/report.txt"])
+
+
+# the comparison-file column of each model output
+COMPARISON_LABELS = {"fuel": "fuel_model_gps", "gear": "gear_model",
+                     "engine_speed": "engine_speed_radps_model",
+                     "engine_torque": "engine_torque_nm_model", "pedal": "pedal_pct_model",
+                     "flags": "flags_model"}
 
 
 class TestArtifactSet:
     def test_builtin_pipeline_writes_exactly_these_files(self, pipeline_out):
         assert sorted(tree(pipeline_out)) == BUILTIN_ARTIFACTS
 
-    def test_plots_only_add_chart_data(self, pipeline_out, tmp_path):
-        assert main(["pipeline", "--out", str(tmp_path), "--plots"]) == 0
-        plain, plots = tree(pipeline_out), tree(tmp_path)
+    def test_plots_only_add_chart_data(self, pipeline_out, plots_out):
+        plain, plots = tree(pipeline_out), tree(plots_out)
         # every file of the plain run is there, byte for byte
         assert {rel: plots.get(rel) for rel in plain} == plain
         added = sorted(set(plots) - set(plain))
@@ -764,6 +852,31 @@ class TestArtifactSet:
         assert len(csvs) == 11 and all(rel.startswith("reports/") and "_vs_" in rel
                                        for rel in csvs)
         assert len(added) == 22
+
+    @pytest.mark.parametrize("cycle", ["cruise", "urban", "aggressive"])
+    def test_comparison_files_hold_every_model_output(self, plots_out, cycle):
+        """Each model's per-step outputs on a reference trace, as the library
+        computes them, are the ``*_model`` columns of the pair's comparison
+        file: floats as written with %.10g, gear and flags exactly."""
+        ref = read_trace_csv(plots_out / "traces" / f"{cycle}_reference.csv")
+        models = {
+            "semi": eval_semi_trace(load_semi_model(plots_out / "semi_model.json"),
+                                    ref.t, ref.v, ref.a, ref.grade),
+            "simplified": eval_simplified_trace(
+                load_simplified(plots_out / "simplified_model.json"), ref.t, ref.v, ref.a,
+                ref.grade)}
+        for kind, model in models.items():
+            written = read_columns(
+                plots_out / "reports" / f"{cycle}_{kind}_{kind}_{cycle}_vs_{cycle}_reference.csv")
+            expected = {"cumfuel_model_g": cumulative_fuel(model.t, model.fuel)[1]}
+            expected.update((COMPARISON_LABELS[col], getattr(model, col))
+                            for col in model.columns() if col in COMPARISON_LABELS)
+            assert sorted(col for col in written if "model" in col) == sorted(expected), kind
+            for label, values in expected.items():
+                assert written[label].size == len(ref), (kind, label)
+                if values.dtype.kind != "i":
+                    values = np.char.mod("%.10g", values).astype(float)
+                assert np.array_equal(written[label], values), (kind, label)
 
     def test_rig_trace_holds_the_processed_profile(self, pipeline_out):
         # what profiles/<rig>_profile.csv held: the t, v, a columns of the rig trace

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vcdfuel import jsonio
+from vcdfuel.drive_cycles import DriveCycle
 from vcdfuel.errors import ParseError
 from vcdfuel.extraction import CONSTANTS_KEYS, POLY_MAP_KEYS, ExtractedConstants, PolyMap2D
 from vcdfuel.jsonio import read_json, write_json
@@ -22,6 +23,9 @@ from vcdfuel.powertrain import (
     EngineFuelMap,
     GearShiftMaps,
     VehicleParams,
+    load_vehicle,
+    simulate,
+    vehicle_to_dict,
 )
 from vcdfuel.semi_principled import eval_semi_trace, evaluate, load_semi_model, model_to_dict
 from vcdfuel.simplified import (
@@ -31,6 +35,7 @@ from vcdfuel.simplified import (
     load_simplified,
     simplified_to_dict,
 )
+from vcdfuel.synthetic import default_vehicle
 from vcdfuel.validation import build_report, load_report
 
 # what a loaded model must survive: one small (v, a, grade) batch, standstill
@@ -38,6 +43,9 @@ from vcdfuel.validation import build_report, load_report
 MODEL_USE = {"semi_model": evaluate, "simplified_model": eval_simplified}
 BATCH = (np.array([0.0, 3.0, 12.0, 25.0, 60.0]), np.array([0.0, 1.5, -2.0, 0.3, 4.0]),
          np.array([0.0, 0.05, -0.1, 0.0, 0.2]))
+# and a loaded vehicle: a short launch, cruise and coast-down through the gears
+SHORT_CYCLE = DriveCycle(name="short", t=np.array([0.0, 3.0, 20.0, 35.0, 50.0, 53.0]),
+                         v=np.array([0.0, 0.0, 20.0, 20.0, 0.0, 0.0]))
 
 
 def legacy_bytes(tmp_path, doc) -> bytes:
@@ -58,6 +66,25 @@ def artifacts(semi_model, simplified_model, dataset):
     return {"semi_model": (model_to_dict(semi_model), load_semi_model),
             "simplified_model": (simplified_to_dict(simplified_model), load_simplified),
             "report": (report.to_dict(), load_report)}
+
+
+def retyped(doc, path=()):
+    """(path, original, replacement) for every key of ``doc`` and the first
+    entry of every list, nested ones included: each leaf in its string form,
+    as ``true`` and wrapped in a list; each list emptied and wrapped in one
+    more list."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc[:1])
+    for key, val in items:
+        here = path + (key,)
+        if isinstance(val, dict):
+            yield from retyped(val, here)
+        elif isinstance(val, list):
+            yield here, val, []
+            yield here, val, [val]
+            yield from retyped(val, here)
+        else:
+            for replacement in (str(val), True, [val]):
+                yield here, val, replacement
 
 
 def key_paths(doc, prefix=()):
@@ -129,6 +156,51 @@ class TestReadJson:
         else:
             if kind in MODEL_USE:
                 MODEL_USE[kind](loaded, *BATCH)
+
+
+class TestRetypedFields:
+    """Every field of a vehicle or model document, retyped: a string or bool
+    in place of a number is a ParseError naming the file, and any other
+    change either is one or loads into an object that works."""
+
+    FREE_FORM = ("metadata", "diagnostics")
+
+    @pytest.fixture(scope="class")
+    def documents(self, artifacts):
+        """(document, loader, use) of the vehicle and both models."""
+        docs = {"vehicle": (vehicle_to_dict(default_vehicle()), load_vehicle,
+                            lambda vehicle: simulate(SHORT_CYCLE, vehicle))}
+        for kind, use in MODEL_USE.items():
+            doc, load = artifacts[kind]
+            docs[kind] = (doc, load, lambda model, use=use: use(model, *BATCH))
+        return docs
+
+    @pytest.mark.parametrize("kind", ["vehicle", "semi_model", "simplified_model"])
+    def test_retyped_field_is_a_parse_error_or_works(self, tmp_path, documents, kind):
+        doc, load, use = documents[kind]
+        path = tmp_path / f"{kind}.json"
+        failures = []
+        for keys, original, replacement in retyped(doc):
+            damaged = copy.deepcopy(doc)
+            holder = damaged
+            for step in keys[:-1]:
+                holder = holder[step]
+            holder[keys[-1]] = replacement
+            path.write_text(json.dumps(damaged))
+            must_fail = (isinstance(replacement, (str, bool))
+                         and isinstance(original, (int, float)) and not isinstance(original, bool)
+                         and not set(self.FREE_FORM) & set(keys))
+            try:
+                use(load(path))
+            except ParseError as exc:
+                if not str(exc).startswith(f"{path}: "):
+                    failures.append(f"{keys} = {replacement!r}: {exc}")
+            except Exception as exc:  # noqa: BLE001 - every other exception is a failure
+                failures.append(f"{keys} = {replacement!r}: {type(exc).__name__}: {exc}")
+            else:
+                if must_fail:
+                    failures.append(f"{keys} = {replacement!r}: accepted")
+        assert not failures, "\n".join(failures)
 
 
 KEY_TABLES = [(VehicleParams, PARAMS_KEYS), (EngineFuelMap, FUEL_MAP_KEYS),
