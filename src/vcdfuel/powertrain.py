@@ -57,7 +57,7 @@ class VehicleParams:
     gear_masses: np.ndarray     # kg, one per gear
     tire_radius: float          # m
     final_drive: float
-    gear_ratios: np.ndarray     # strictly decreasing with gear index
+    gear_ratios: np.ndarray     # positive, strictly decreasing with gear index
     road_load_a: float          # N
     road_load_b: float          # N/(m/s)
     road_load_c: float          # N/(m/s)^2
@@ -79,6 +79,8 @@ class VehicleParams:
         if self.tire_radius <= 0 or self.final_drive <= 0:
             raise InvalidArgument("tire_radius and final_drive must be positive, got "
                                   f"{self.tire_radius} and {self.final_drive}")
+        if not np.all(self.gear_ratios > 0):
+            raise InvalidArgument(f"gear_ratios must be positive, got {self.gear_ratios.tolist()}")
         if np.any(np.diff(self.gear_ratios) >= 0):
             raise InvalidArgument("gear_ratios must be strictly decreasing, got "
                                   f"{self.gear_ratios.tolist()}")

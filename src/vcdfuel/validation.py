@@ -1,7 +1,9 @@
 """Trace-to-trace comparison metrics and report generation.
 
-All comparisons run on a common uniform time grid over the overlap of the
-two traces. Fuel metrics are always produced; internal-dynamics metrics
+Per-step comparisons run on a common uniform time grid over the overlap of
+the two traces. The cumulative-fuel totals and their error are the
+exception: each integrates its whole trace (acceptance criterion 7), not
+the overlap. Fuel metrics are always produced; internal-dynamics metrics
 (engine speed/torque, pedal, gear) appear only when both traces carry the
 columns, so reduced models without internal state are handled naturally.
 Engine speed is reported in rpm and torque in Nm to match conventional
@@ -28,25 +30,35 @@ class AlignedPair:
     model: dict[str, np.ndarray]
 
 
-def _interp_columns(trace: Trace, grid: np.ndarray) -> dict[str, np.ndarray]:
+# the channels a pair compares besides fuel, in comparison-file order, with
+# their comparison-file labels
+_CHANNELS = {"gear": "gear", "engine_speed": "engine_speed_radps",
+             "engine_torque": "engine_torque_nm", "pedal": "pedal_pct", "flags": "flags"}
+
+
+def _interp_columns(trace: Trace, grid: np.ndarray, cols) -> dict[str, np.ndarray]:
     # integer columns (gear, flags) take the nearest sample, never an
     # interpolated blend
     nearest = np.searchsorted(0.5 * (trace.t[:-1] + trace.t[1:]), grid)
     out = {}
-    for col in trace.columns():
+    for col in cols:
         src = getattr(trace, col)
         out[col] = src[nearest] if src.dtype.kind == "i" else np.interp(grid, trace.t, src)
     return out
 
 
 def align(ref: Trace, model: Trace, dt: float = DT) -> AlignedPair:
-    """Interpolate both traces onto the uniform grid covering their overlap."""
+    """Interpolate the compared columns both traces carry onto the uniform
+    grid covering their overlap."""
     t0 = max(ref.t[0], model.t[0])
     t1 = min(ref.t[-1], model.t[-1])
     if t0 > t1:
         raise NoOverlap(f"traces '{ref.name}' and '{model.name}' share no time range")
     grid = uniform_grid(t0, t1, dt)
-    return AlignedPair(t=grid, ref=_interp_columns(ref, grid), model=_interp_columns(model, grid))
+    cols = [c for c in ("fuel", *_CHANNELS)
+            if getattr(ref, c) is not None and getattr(model, c) is not None]
+    return AlignedPair(t=grid, ref=_interp_columns(ref, grid, cols),
+                       model=_interp_columns(model, grid, cols))
 
 
 def mae(series_a, series_b) -> float:
@@ -180,9 +192,7 @@ def write_comparison_csv(pair: AlignedPair, path) -> None:
     cols = {"t": pair.t,
             "fuel_ref_gps": pair.ref["fuel"], "fuel_model_gps": pair.model["fuel"],
             "cumfuel_ref_g": cum_ref, "cumfuel_model_g": cum_model}
-    for key, label in (("gear", "gear"), ("engine_speed", "engine_speed_radps"),
-                       ("engine_torque", "engine_torque_nm"), ("pedal", "pedal_pct"),
-                       ("flags", "flags")):
+    for key, label in _CHANNELS.items():
         if key in pair.ref and key in pair.model:
             cols[f"{label}_ref"] = pair.ref[key]
             cols[f"{label}_model"] = pair.model[key]

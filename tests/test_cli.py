@@ -75,6 +75,13 @@ def cut_shift_tables(n):
     return edit
 
 
+def last_gear_ratio(value):
+    """An edit setting the top gear's ratio to ``value``."""
+    def edit(doc):
+        doc["params"]["gear_ratios"][-1] = value
+    return edit
+
+
 def wrapped(section, *keys):
     """An edit wrapping the lists under ``keys`` in one more list."""
     def edit(doc):
@@ -292,11 +299,14 @@ class TestBadInputsExit1:
          "reports/report.json"),
         ("validate", "simplified_model.json", edited(lambda doc: doc.update(coeff_c=[[1.0, 2.0]])),
          "reports/report.json"),
+        ("fit-simplified", "semi_model.json", edited(last_gear_ratio(-0.5)),
+         "simplified_model.json"),
     ], ids=["truncated-semi-model", "gear-maps-of-unequal-degree",
             "simplified-model-without-coeff-c", "manifest-cycles-int",
             "fuel-map-domain-of-three", "fuel-map-zero-x-std", "simplified-range-of-three",
             "five-downshift-cutoffs", "semi-shift-tables-of-four", "cut-boundary-of-five",
-            "semi-empty-torque-curve", "negative-speed-max", "empty-coeff-c", "nested-coeff-c"])
+            "semi-empty-torque-curve", "negative-speed-max", "empty-coeff-c", "nested-coeff-c",
+            "semi-negative-top-ratio"])
     def test_malformed_json_artifact(self, pipeline_out, tmp_path, capsys,
                                      stage, artifact, damage, downstream):
         out = tmp_path / "out"
@@ -479,11 +489,14 @@ class TestBadInputsExit1:
          "torque_curve_speed needs 1 or more entries, got 0"),
         (one_grid_point("speed"), "speed_grid needs 2 or more entries, got 1"),
         (one_grid_point("torque"), "torque_grid needs 2 or more entries, got 1"),
+        (last_gear_ratio(0.0), "gear_ratios must be positive, got [4.0, 2.6, 1.8, 1.35, 1.0, 0.0]"),
+        (last_gear_ratio(-0.5), "gear_ratios must be positive, got [4.0, 2.6, 1.8, 1.35, 1.0, -0.5]"),
     ], ids=["missing-mass", "negative-mass", "zero-idle-fuel", "negative-idle-fuel",
             "one-number-knot", "descending-knots", "short-torque-curve", "shift-tables-of-three",
             "string-pedal-gain", "string-cut-speed", "string-road-load", "string-idle-torque",
             "bool-mass", "nested-shift-tables", "nested-torque-curve", "empty-torque-curve",
-            "one-speed-grid-point", "one-torque-grid-point"])
+            "one-speed-grid-point", "one-torque-grid-point", "zero-top-ratio",
+            "negative-top-ratio"])
     def test_bad_vehicle_json(self, tmp_path, capsys, edit, reason):
         doc = vehicle_to_dict(default_vehicle())
         edit(doc)

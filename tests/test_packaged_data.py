@@ -1,23 +1,38 @@
-"""The shipped data files must stay in sync with their generators."""
+"""The shipped vehicle and cycles are the built-ins: in the writers' form, and in the wheel."""
 
-import numpy as np
+from pathlib import Path, PurePosixPath
 
-from vcdfuel.drive_cycles import load_cycle
-from vcdfuel.powertrain import load_vehicle, vehicle_to_dict
+import pytest
+
+from vcdfuel.drive_cycles import save_cycle
+from vcdfuel.powertrain import save_vehicle
 from vcdfuel.synthetic import builtin_cycles, default_vehicle, packaged_data_dir
 
-
-def test_packaged_vehicle_matches_generator():
-    packaged = load_vehicle(packaged_data_dir() / "vehicle_midsuv.json")
-    assert vehicle_to_dict(packaged) == vehicle_to_dict(default_vehicle())
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def test_packaged_cycles_match_generators():
-    generated = builtin_cycles()
+def test_shipped_vehicle_is_in_writer_form(tmp_path):
+    # a hand edit must keep the file loadable and round-trip exact
+    save_vehicle(default_vehicle(), tmp_path / "vehicle.json")
+    shipped = packaged_data_dir() / "vehicle_midsuv.json"
+    assert (tmp_path / "vehicle.json").read_bytes() == shipped.read_bytes()
+
+
+def test_shipped_cycles_are_in_writer_form(tmp_path):
+    cycles = builtin_cycles()
     cycle_dir = packaged_data_dir() / "cycles"
-    names = sorted(p.name for p in cycle_dir.iterdir())
-    assert names == sorted(f"{n}.csv" for n in generated)
-    for name, cycle in generated.items():
-        shipped = load_cycle(cycle_dir / f"{name}.csv")
-        assert np.allclose(shipped.t, cycle.t)
-        assert np.allclose(shipped.v, cycle.v)
+    assert sorted(p.name for p in cycle_dir.iterdir()) == sorted(f"{n}.csv" for n in cycles)
+    for name, cycle in cycles.items():
+        save_cycle(cycle, tmp_path / f"{name}.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (cycle_dir / f"{name}.csv").read_bytes()
+
+
+def test_every_data_file_ships():
+    # every run reads these files, so a wheel without one breaks installed copies
+    tomllib = pytest.importorskip("tomllib")
+    globs = tomllib.loads(PYPROJECT.read_text())["tool"]["setuptools"]["package-data"]["vcdfuel"]
+    data = Path(packaged_data_dir())
+    files = [PurePosixPath(p.relative_to(data.parent).as_posix())
+             for p in data.rglob("*") if p.is_file()]
+    assert files
+    assert [f for f in files if not any(f.match(g) for g in globs)] == []

@@ -26,7 +26,7 @@ from vcdfuel.powertrain import (
     vehicle_to_dict,
     wheel_force,
 )
-from vcdfuel.synthetic import _cycle, builtin_cycles, cruise_cycle
+from vcdfuel.synthetic import builtin_cycles, cruise_cycle
 from vcdfuel.trace import FLAG_ENVELOPE, Trace
 
 
@@ -340,6 +340,15 @@ class TestLoopOracle:
             assert np.count_nonzero(got.flags & FLAG_ENVELOPE) > 100
 
 
+def _cycle(name: str, segments) -> DriveCycle:
+    """Build a cycle from (duration s, end speed m/s) segments starting at rest."""
+    t, v = [0.0], [0.0]
+    for duration, v_end in segments:
+        t.append(t[-1] + duration)
+        v.append(v_end)
+    return DriveCycle(name=name, t=np.array(t), v=np.array(v))
+
+
 # cycles as (duration s, end speed m/s) segments from rest, stops included
 segments = st.lists(st.tuples(st.floats(0.5, 40.0),
                               st.one_of(st.just(0.0), st.floats(0.0, 45.0))),
@@ -440,10 +449,12 @@ class TestConstructorsNameTheValue:
         ({"gear_masses": [1600.0, 0.0]}, "masses must be positive, got gear_masses [1600.0, 0.0]"),
         ({"tire_radius": 0.0}, "tire_radius and final_drive must be positive, got 0.0 and 3.0"),
         ({"gear_ratios": [2.0, 4.0]}, "gear_ratios must be strictly decreasing, got [2.0, 4.0]"),
+        ({"gear_ratios": [4.0, 0.0]}, "gear_ratios must be positive, got [4.0, 0.0]"),
         ({"engine_speed_idle": 700.0}, "need engine_speed_max > engine_speed_idle > 0, "
                                        "got max 600.0, idle 700.0"),
         ({"driveline_eff": 1.5}, "driveline_eff must be in (0, 1], got 1.5"),
-    ], ids=["lengths", "mass", "gear-mass", "tire-radius", "ratios", "engine-speeds", "efficiency"])
+    ], ids=["lengths", "mass", "gear-mass", "tire-radius", "ratios", "zero-ratio",
+            "engine-speeds", "efficiency"])
     def test_vehicle_params(self, overrides, message):
         assert raised_message(lambda: make_params(**overrides)) == message
 

@@ -62,6 +62,19 @@ class TestAlign:
         assert not np.any(pair.ref["gear"] == 1.5)
 
 
+    def test_only_compared_columns_both_carry(self):
+        # v, a and grade are never compared, and a column the model lacks
+        # has nothing to be compared with
+        t = np.arange(0.0, 5.0, 0.5)
+        ones = np.ones(t.size)
+        ref = make_trace("ref", t, ones, gear=np.ones(t.size, dtype=int), a=0 * ones,
+                         grade=0 * ones, engine_speed=ones, engine_torque=ones, pedal=ones,
+                         flags=np.zeros(t.size, dtype=int))
+        model = Trace(name="model", t=t, v=ones, fuel=ones, flags=np.zeros(t.size, dtype=int))
+        pair = align(ref, model, dt=0.5)
+        assert set(pair.ref) == set(pair.model) == {"fuel", "flags"}
+
+
 class TestMae:
     def test_identical_zero(self):
         assert mae([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
