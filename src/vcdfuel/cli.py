@@ -2,9 +2,9 @@
 
 Each subcommand runs one stage on a ``Run``, which carries the config, the
 output directory and the products stages hand on. Run alone, a stage reads
-a predecessor's product from the output directory when it first asks for
-it, so stages can be rerun independently; ``pipeline`` passes one ``Run``
-through every stage and writes the same files without reading any back:
+a predecessor's product from the output directory under the name the config
+gives it, so stages can be rerun independently; ``pipeline`` passes one
+``Run`` through every stage and writes the same files without reading any back:
 
     simulate        reference traces for every configured cycle
     extract         constants and fitted maps: the map-based model (semi_model.json)
@@ -180,10 +180,10 @@ def _existing(path, kind: str) -> Path:
     return path
 
 
-def _check_names(cfg) -> None:
-    """Fail before any stage runs on a name that would key two outputs. The
-    names come from the config alone, as ``load_cycle``, ``read_dyno_csv`` and
-    ``make_dyno_log`` give them: built-in names or file stems, ``<cycle>_dyno``."""
+def _product_names(cfg) -> tuple[list[str], list[str]]:
+    """The config's cycle and rig names in config order, as ``load_cycle``,
+    ``read_dyno_csv`` and ``make_dyno_log`` give them: built-in names or file
+    stems, ``<cycle>_dyno``. Fails on a name that would key two outputs."""
     cycles = (list(builtin_cycles()) if cfg["cycles"] == "builtin"
               else [Path(item).stem for item in cfg["cycles"]])
     rigs = ([f"{cfg['dyno_synthetic']['cycle']}_dyno"] if cfg["dyno_logs"] == "synthetic"
@@ -197,28 +197,23 @@ def _check_names(cfg) -> None:
         for name in names:
             if names.count(name) > 1:
                 raise ParseError(f"config key '{key}': {what} named '{name}'")
+    return cycles, rigs
 
 
 # --- stages -------------------------------------------------------------------
 
-def _manifest_cycles(doc) -> list[str]:
-    names = doc["cycles"]
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise TypeError("'cycles' must be a list of cycle names")
-    return names
-
-
 class Run:
-    """One command's config, output directory ``out`` and ``--plots`` flag,
-    and the products its stages hand on: ``vehicle`` and ``dataset``
-    (simulate), ``semi`` (extract), ``simplified`` (fit-simplified) and
-    ``rig_traces`` (ingest, keyed by log name). A stage that makes a product
-    assigns it; any other is read from ``out`` the first time a stage asks
-    for it. So ``pipeline`` reads back nothing it wrote, and a stage run
-    alone reads each artifact it uses once."""
+    """One command's config with its cycle and rig names, output directory
+    ``out``, ``--plots`` flag, and the products its stages hand on: ``vehicle``
+    and ``dataset`` (simulate), ``semi`` (extract), ``simplified``
+    (fit-simplified) and ``rig_traces`` (ingest, by rig name). A stage that
+    makes a product assigns it; any other is read from ``out``, under the
+    config's names, the first time a stage asks for it. So ``pipeline`` reads
+    back nothing it wrote, and a stage run alone reads each artifact once."""
 
     def __init__(self, cfg: dict, args):
         self.cfg = cfg
+        self.cycle_names, self.rig_names = _product_names(cfg)
         self.plots = args.plots
         self.out = Path(args.out or cfg.get("out_dir", "out"))
         self.out.mkdir(parents=True, exist_ok=True)
@@ -238,10 +233,9 @@ class Run:
 
     @cached_property
     def dataset(self) -> VcdDataset:
-        names = read_json(self.artifact("traces/manifest.json", "simulate"), _manifest_cycles)
         return VcdDataset.from_traces(self.vehicle.params, [
             read_trace_csv(self.artifact(f"traces/{name}_reference.csv", "simulate"), name=name)
-            for name in names])
+            for name in self.cycle_names])
 
     @cached_property
     def semi(self):
@@ -253,9 +247,9 @@ class Run:
 
     @cached_property
     def rig_traces(self) -> dict[str, Trace]:
-        traces = [read_trace_csv(path, name=path.stem.removesuffix("_trace"))
-                  for path in (self.out / "profiles").glob("*_trace.csv")]
-        return {trace.name: trace for trace in traces}
+        return {name: read_trace_csv(self.artifact(f"profiles/{name}_trace.csv", "ingest"),
+                                     name=name)
+                for name in self.rig_names}
 
 
 def cmd_simulate(run: Run) -> None:
@@ -271,8 +265,6 @@ def cmd_simulate(run: Run) -> None:
     for trace in ds.traces:
         write_trace_csv(trace, traces_dir / f"{trace.name}_reference.csv")
         print(f"wrote {traces_dir / (trace.name + '_reference.csv')}")
-    _write_artifact(cfg, traces_dir / "manifest.json",
-                    {"cycles": [tr.name for tr in ds.traces], "dt": cfg["dt"]})
 
 
 def cmd_extract(run: Run) -> None:
@@ -355,10 +347,9 @@ def cmd_validate(run: Run) -> None:
             pairs.append((f"{name}_semi", ref, semi_tr))
             pairs.append((f"{name}_simplified", ref, simp_tr))
             pairs.append((f"{name}_closure", semi_tr, simp_tr))
-        # ingested rig recordings are compared the same way, in the order of
-        # their <name>_trace.csv files: both models replay the processed
-        # (t, v, a) profile
-        for rig in sorted(run.rig_traces.values(), key=lambda rig: f"{rig.name}_trace.csv"):
+        # ingested rig recordings are compared the same way: both models
+        # replay the processed (t, v, a) profile
+        for rig in run.rig_traces.values():
             semi_tr, simp_tr = _model_traces_for(semi, simp, rig, rig.name)
             pairs.append((f"{rig.name}_semi", rig, semi_tr))
             pairs.append((f"{rig.name}_simplified", rig, simp_tr))
@@ -407,7 +398,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"unit": args.unit, "dt": args.dt})
-        _check_names(cfg)
         args.func(Run(cfg, args))
     except (MissingPrerequisite, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

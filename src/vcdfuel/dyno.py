@@ -20,12 +20,14 @@ from .errors import (
     BoundNotReached,
     InsufficientData,
     InvalidArgument,
+    InvalidDt,
     MonotonicityError,
     NeverHot,
     NonPositiveSlope,
     ParseError,
     SeriesTooShort,
     SmoothingDiverged,
+    VcdFuelError,
 )
 from .extraction import percentile
 from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
@@ -252,20 +254,30 @@ def process_log(log: DynoLog, dt: float = DT, bound: float = ACCEL_BOUND,
     """Window, resample, regress, smooth, differentiate, winsorize.
 
     The trace holds the rebuilt (t, v, a) on flat grade and the other rig
-    channels as resampled onto the same grid.
+    channels as resampled onto the same grid. An error names the log unless
+    it is about an argument, which is the same for every log.
     """
-    t_start, t_end = hot_engine_window(log, hot_threshold)
-    windowed = log.window(t_start, t_end)
-    slope = fit_speed_regression(windowed)
-    uniform = windowed.resampled(dt)
-    v_derived = derive_speed(uniform, slope)
-    selection = auto_select_smoothing(v_derived, dt, bound=bound, mu=mu, max_steps=max_steps)
-    accel = clip_outliers(selection.accel, clip_fraction)
-    trace = Trace(name=log.name, t=uniform.t, v=selection.smoothed, a=accel,
-                  grade=np.zeros_like(uniform.t), gear=uniform.gear,
-                  engine_speed=uniform.engine_rpm / RADPS_TO_RPM,
-                  engine_torque=uniform.engine_torque_nm, pedal=uniform.pedal_pct,
-                  fuel=uniform.fuel_gps)
+    try:
+        t_start, t_end = hot_engine_window(log, hot_threshold)
+        windowed = log.window(t_start, t_end)
+        slope = fit_speed_regression(windowed)
+        uniform = windowed.resampled(dt)
+        v_derived = derive_speed(uniform, slope)
+        selection = auto_select_smoothing(v_derived, dt, bound=bound, mu=mu, max_steps=max_steps)
+        accel = clip_outliers(selection.accel, clip_fraction)
+        trace = Trace(name=log.name, t=uniform.t, v=selection.smoothed, a=accel,
+                      grade=np.zeros_like(uniform.t), gear=uniform.gear,
+                      engine_speed=uniform.engine_rpm / RADPS_TO_RPM,
+                      engine_torque=uniform.engine_torque_nm, pedal=uniform.pedal_pct,
+                      fuel=uniform.fuel_gps)
+    except (InvalidArgument, InvalidDt):
+        raise
+    except VcdFuelError as exc:
+        # same class and attributes (BoundNotReached.best); the checks of a
+        # DynoLog built on the way name the log already
+        if not str(exc).startswith(f"dyno log '{log.name}': "):
+            exc.args = (f"dyno log '{log.name}': {exc}",)
+        raise
     return ProcessedProfile(trace=trace, provenance={
         "slope_kph_per_rpm": slope,
         "smoothing_steps": selection.steps,

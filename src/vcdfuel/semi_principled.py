@@ -123,16 +123,19 @@ def select_gear_stateless(model: SemiPrincipledModel, v, pedal):
     return np.clip(np.minimum(k_up, k_down), 1, model.params.n_gears)
 
 
-def _gear_maps(model: SemiPrincipledModel, idx, x, y, outside):
+def _gear_maps(model: SemiPrincipledModel, idx, x, y, outside, excess):
     """Engine speed and torque from each point's own gear maps (gear index
-    ``idx``), bit for bit each map's ``evaluate(x, y)``; ORs
-    into ``outside`` where (x, y) lies outside either map's box."""
+    ``idx``), bit for bit each map's ``evaluate(x, y)``; ORs into ``outside``
+    where (x, y) lies outside either map's box and raises ``excess`` to the
+    largest overshoot relative to the box's span."""
     values = []
     for bounds, coeffs in model._gear_tables:
         uw = []
         for z, (lo, hi, mean, std) in zip((x, y), bounds):
             lo, hi = np.take(lo, idx), np.take(hi, idx)
-            outside |= (z < lo) | (z > hi)
+            beyond = np.maximum(lo - z, z - hi)
+            outside |= beyond > 0
+            np.maximum(excess, np.maximum(beyond, 0.0) / np.maximum(hi - lo, 1e-9), out=excess)
             uw.append((z.clip(lo, hi) - np.take(mean, idx)) / np.take(std, idx))
         # polyval2d's Horner steps: over u within each w column, then over w
         by_w = npoly.polyval(uw[0], np.take(coeffs, idx, axis=-1), tensor=False)
@@ -144,10 +147,11 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     """Vectorized model evaluation.
 
     Returns a dict of arrays: gear, engine_speed, engine_torque, pedal,
-    fuel, flags, and map_force, the capped wheel force the selected gear's
-    driveline maps were evaluated at. v, a and grade broadcast together and
-    a NaN is an InvalidArgument. Inputs outside the defined domain, inf
-    included, are clamped and flagged; map inputs outside the boxes likewise.
+    fuel, flags, and excess, the largest overshoot of the driveline map
+    inputs beyond the selected gear's boxes, as a fraction of the box's span
+    (zero inside). v, a and grade broadcast together and a NaN is an
+    InvalidArgument. Inputs outside the defined domain, inf included, are
+    clamped and flagged; map inputs outside the boxes likewise.
     """
     p = model.params
     c = model.constants
@@ -172,10 +176,10 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     # demanded force capped by the gear's peak wheel torque before the maps
     # see it; the raw demand still decides the fuel cut below
     f_cap = np.take_along_axis(t_gear, gear[None] - 1, axis=0)[0] / p.tire_radius
-    map_force = np.minimum(force, f_cap)
     del t_gear  # one row per gear; free it before the gear maps' temporaries
+    excess = np.zeros(v.shape)
     engine_speed, engine_torque = _gear_maps(model, gear - 1, transmission_output_speed(p, v),
-                                             map_force, clamped)
+                                             np.minimum(force, f_cap), clamped, excess)
     engine_torque[gear == 1] += launch_torque(c.launch_correction, a[gear == 1])
 
     engine_speed = np.clip(engine_speed, p.engine_speed_idle, p.engine_speed_max)
@@ -198,28 +202,7 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     fuel[idle] = c.idle_fuel
 
     return {"gear": gear, "engine_speed": engine_speed, "engine_torque": engine_torque,
-            "pedal": pedal, "fuel": fuel, "flags": flags, "map_force": map_force}
-
-
-def domain_excess(model: SemiPrincipledModel, v, out: dict):
-    """How far the driveline-map inputs of one evaluation fall outside their
-    fitted boxes.
-
-    ``out`` is what ``evaluate`` returned for speeds ``v``. Returns the
-    largest fractional overshoot (relative to each box's span) of (output
-    speed, map force) against the selected gear's map domains; zero inside.
-    Useful to tell deep extrapolation from boundary grazing.
-    """
-    v = np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, model.speed_max)
-    inputs = (transmission_output_speed(model.params, v), out["map_force"])
-    idx = out["gear"] - 1
-    excess = np.zeros(idx.shape)
-    for bounds, _ in model._gear_tables:
-        for x, (lo, hi, _, _) in zip(inputs, bounds):
-            lo, hi = np.take(lo, idx), np.take(hi, idx)
-            over = np.maximum(np.maximum(lo - x, x - hi), 0.0) / np.maximum(hi - lo, 1e-9)
-            excess = np.maximum(excess, over)
-    return excess
+            "pedal": pedal, "fuel": fuel, "flags": flags, "excess": excess}
 
 
 def eval_semi_trace(model: SemiPrincipledModel, t, v, a, grade=0.0, name: str = "semi") -> Trace:

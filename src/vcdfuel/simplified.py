@@ -22,7 +22,7 @@ import numpy.polynomial.polynomial as npoly
 from .errors import ConstraintInfeasible, InvalidArgument, RankDeficient
 from .jsonio import field_value, from_doc, read_json, to_doc
 from .powertrain import STANDSTILL_SPEED, float_table
-from .semi_principled import SemiPrincipledModel, broadcast_inputs, domain_excess, evaluate
+from .semi_principled import SemiPrincipledModel, broadcast_inputs, evaluate
 from .trace import FLAG_CLAMPED, FLAG_ENVELOPE, FLAG_FLOOR, Trace
 
 DEFAULT_DEGREES = {"C": 3, "P": 2, "Q": 1, "Z": 1}
@@ -190,7 +190,7 @@ def fit_simplified(semi: SemiPrincipledModel, grid: FitGrid | None = None,
     def fuel_fn(v, a, grade):
         out = evaluate(semi, v, a, grade)
         pinned = (out["flags"] & (FLAG_ENVELOPE | FLAG_FLOOR)) != 0
-        usable = ~pinned & (domain_excess(semi, v, out) <= EXTRAPOLATION_MARGIN)
+        usable = ~pinned & (out["excess"] <= EXTRAPOLATION_MARGIN)
         return np.ma.masked_array(out["fuel"], mask=~usable)
 
     return fit_to_function(fuel_fn, cut_speed=semi.constants.cut_speed,

@@ -38,6 +38,7 @@ from vcdfuel.simplified import (
     load_simplified,
 )
 from vcdfuel.synthetic import (
+    aggressive_cycle,
     builtin_cycles,
     cruise_cycle,
     default_vehicle,
@@ -135,10 +136,8 @@ def plots_out(tmp_path_factory):
 
 class TestStages:
     def test_simulate_writes_one_trace_per_cycle(self, pipeline_out):
-        names = json.loads((pipeline_out / "traces" / "manifest.json").read_text())["cycles"]
-        assert sorted(names) == ["aggressive", "cruise", "urban"]
-        for name in names:
-            assert (pipeline_out / "traces" / f"{name}_reference.csv").exists()
+        assert sorted(path.name for path in (pipeline_out / "traces").iterdir()) == [
+            f"{name}_reference.csv" for name in ("aggressive", "cruise", "urban")]
 
     def test_pipeline_artifacts_present(self, pipeline_out):
         for artifact in ("semi_model.json", "simplified_model.json"):
@@ -177,6 +176,25 @@ class TestStages:
         code = main(["extract", "--out", str(tmp_path)])
         assert code == 2
         assert "simulate" in capsys.readouterr().err
+
+    def test_validate_before_ingest_names_prerequisite(self, pipeline_out, tmp_path, capsys):
+        # what simulate, extract and fit-simplified write, but no rig trace
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out / "traces", out / "traces")
+        for name in ("semi_model.json", "simplified_model.json"):
+            shutil.copy(pipeline_out / name, out / name)
+        assert main(["validate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: missing cruise_dyno_trace.csv; run `vcdfuel ingest` first\n"
+        assert not (out / "reports" / "report.json").exists()
+        # with no rig configured the cycles are validated alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dyno_logs": []}))
+        assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+        records = json.loads((out / "reports" / "report.json").read_text())["records"]
+        assert sorted(records) == sorted(f"{cycle}_{kind}"
+                                         for cycle in ("aggressive", "cruise", "urban")
+                                         for kind in ("semi", "simplified", "closure"))
 
     @pytest.mark.parametrize("args", [["--out", "afile"], ["--config", ".", "--out", "out"]],
                              ids=["out-is-a-file", "config-is-a-directory"])
@@ -275,8 +293,6 @@ class TestBadInputsExit1:
         ("validate", "simplified_model.json",
          lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "coeff_c"}),
          "reports/report.json"),
-        ("extract", "traces/manifest.json", lambda text: json.dumps({"cycles": 5}),
-         "semi_model.json"),
         ("fit-simplified", "semi_model.json",
          edited(lambda doc: doc["fuel_map"]["domain"].__setitem__(1, [0, 1, 2])),
          "simplified_model.json"),
@@ -302,7 +318,7 @@ class TestBadInputsExit1:
         ("fit-simplified", "semi_model.json", edited(last_gear_ratio(-0.5)),
          "simplified_model.json"),
     ], ids=["truncated-semi-model", "gear-maps-of-unequal-degree",
-            "simplified-model-without-coeff-c", "manifest-cycles-int",
+            "simplified-model-without-coeff-c",
             "fuel-map-domain-of-three", "fuel-map-zero-x-std", "simplified-range-of-three",
             "five-downshift-cutoffs", "semi-shift-tables-of-four", "cut-boundary-of-five",
             "semi-empty-torque-curve", "negative-speed-max", "empty-coeff-c", "nested-coeff-c",
@@ -404,6 +420,19 @@ class TestBadInputsExit1:
             "dyno_logs": [str(tmp_path / "rig" / "cruise.csv")],
             "validate_pairs": [{"name": "pair", "ref": str(good), "model": str(good)}]}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_ingest_error_names_the_dyno_log(self, tmp_path, capsys):
+        # the synthetic rig is hot only after 200 s; the aggressive cycle
+        # lasts 115 s, so with warm-up its log never settles
+        write_dyno_csv(make_dyno_log(cruise_cycle(), default_vehicle(), seed=5),
+                       tmp_path / "zeta.csv")
+        write_dyno_csv(make_dyno_log(aggressive_cycle(), default_vehicle()), tmp_path / "cold.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dyno_logs": [str(tmp_path / "zeta.csv"),
+                                                 str(tmp_path / "cold.csv")]}))
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: dyno log 'cold': water temperature never settles above 85.0 C\n"
 
     def test_two_dyno_logs_with_one_name(self, tmp_path, capsys):
         log = make_dyno_log(cruise_cycle(), default_vehicle(), seed=5)
@@ -552,6 +581,18 @@ class TestInMemoryPipeline:
         assert "rig_semi" in json.loads((tmp_path / "a" / "reports" / "report.json")
                                         .read_text())["records"]
 
+    def test_stages_equal_pipeline_in_reused_out(self, tmp_path):
+        # an earlier run on another config leaves profiles/rig_trace.csv
+        used = tmp_path / "used"
+        assert main(["pipeline", "--config", str(user_csv_config(tmp_path)),
+                     "--out", str(used)]) == 0
+        shutil.copytree(used, tmp_path / "a")
+        shutil.copytree(used, tmp_path / "b")
+        assert main(["pipeline", "--out", str(tmp_path / "a")]) == 0
+        for stage in STAGES:
+            assert main([stage, "--out", str(tmp_path / "b")]) == 0
+        assert tree(tmp_path / "a") == tree(tmp_path / "b")
+
     def test_pipeline_reads_back_nothing_it_wrote(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("pipeline re-read an artifact it wrote")
@@ -601,9 +642,10 @@ class TestInMemoryPipeline:
         assert main(["pipeline", "--out", str(out)]) == 0
         records = json.loads((out / "reports" / "report.json").read_text())["records"]
         assert "cruise_dyno_semi" in records and "stale_semi" not in records
-        # validate run alone compares every rig trace it finds
+        # so does validate run alone: it reads the rig traces its config names
         assert main(["validate", "--out", str(out)]) == 0
-        assert "stale_semi" in json.loads((out / "reports" / "report.json").read_text())["records"]
+        records = json.loads((out / "reports" / "report.json").read_text())["records"]
+        assert "cruise_dyno_semi" in records and "stale_semi" not in records
 
 
 class TestValidateEquivalence:
@@ -809,6 +851,7 @@ class TestPlotsAndDynoPairs:
         assert main(["simulate", "--out", str(out)]) == 0
         assert main(["extract", "--out", str(out)]) == 0
         assert main(["fit-simplified", "--out", str(out)]) == 0
+        assert main(["ingest", "--out", str(out)]) == 0
         assert main(["validate", "--out", str(out), "--plots"]) == 0
         svgs = list((out / "reports").glob("*.svg"))
         assert svgs
@@ -836,7 +879,7 @@ class TestPlotsAndDynoPairs:
 
 BUILTIN_ARTIFACTS = sorted([
     *(f"traces/{cycle}_reference.csv" for cycle in ("aggressive", "cruise", "urban")),
-    "traces/manifest.json", "semi_model.json", "simplified_model.json",
+    "semi_model.json", "simplified_model.json",
     "profiles/cruise_dyno_raw.csv", "profiles/cruise_dyno_profile.json",
     "profiles/cruise_dyno_trace.csv", "reports/report.json", "reports/report.txt"])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -23,6 +24,7 @@ from vcdfuel.errors import (
     InvalidArgument,
     NeverHot,
     NonPositiveSlope,
+    ParseError,
     SeriesTooShort,
     VcdFuelError,
 )
@@ -298,6 +300,19 @@ class TestProcessLog:
                 except VcdFuelError as exc:
                     failed.append(f"{name} seed {seed} warmup={warmup}: {exc}")
         assert failed == []
+
+    def test_error_names_the_log_once(self, synthetic_log):
+        with pytest.raises(BoundNotReached) as info:
+            process_log(synthetic_log, bound=0.01, max_steps=2)
+        assert str(info.value).count("dyno log 'cruise_dyno': ") == 1
+        assert str(info.value).startswith("dyno log 'cruise_dyno': ")
+        assert info.value.best is not None and info.value.best.steps <= 2
+        # a channel changed after the log was built fails the windowed log's check
+        broken = dataclasses.replace(synthetic_log, fuel_gps=synthetic_log.fuel_gps.copy())
+        broken.fuel_gps[-1] = -1.0
+        with pytest.raises(ParseError) as info:
+            process_log(broken)
+        assert str(info.value) == "dyno log 'cruise_dyno': fuel must be nonnegative"
 
 
 def log_to_trace(log, profile):

@@ -15,7 +15,7 @@ from vcdfuel.powertrain import (
     road_load,
     transmission_output_speed,
 )
-from vcdfuel.semi_principled import ACCEL_LIMITS, GRADE_LIMITS, domain_excess, evaluate
+from vcdfuel.semi_principled import ACCEL_LIMITS, GRADE_LIMITS, evaluate
 from vcdfuel.simplified import (
     CUT_BOUNDARY_TERMS,
     FitGrid,
@@ -253,7 +253,7 @@ class TestSinglePass:
     def test_domain_excess_matches_recomputation(self, semi_model):
         axes = default_grid(semi_model).axes()
         v, a, grade = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
-        excess = domain_excess(semi_model, v, evaluate(semi_model, v, a, grade))
+        excess = evaluate(semi_model, v, a, grade)["excess"]
         assert np.any(excess > 0)
         assert np.array_equal(excess, reference_domain_excess(semi_model, v, a, grade))
 
