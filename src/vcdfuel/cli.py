@@ -33,7 +33,7 @@ from .drive_cycles import UNIT_FACTORS, load_cycle
 from .dyno import process_log, read_dyno_csv, write_dyno_csv
 from .errors import MissingPrerequisite, ParseError, VcdFuelError
 from .extraction import VcdDataset, run_vcd
-from .jsonio import read_json, write_json
+from .jsonio import is_number, read_json, write_json
 from .powertrain import ReferenceVehicle, load_vehicle
 from .semi_principled import (
     build_semi_model_from_dataset,
@@ -48,7 +48,7 @@ from .simplified import (
     load_simplified,
     simplified_to_dict,
 )
-from .synthetic import builtin_cycles, default_vehicle, make_dyno_log
+from .synthetic import BUILTIN_CYCLES, builtin_cycle, builtin_cycles, default_vehicle, make_dyno_log
 from .trace import DT, Trace, read_trace_csv, write_trace_csv
 from .validation import build_report
 
@@ -126,7 +126,7 @@ _FREE_KEYS = {
     "unit": (lambda val: val in _UNITS, f"one of {', '.join(_UNITS)}"),
     "dyno_logs": (lambda val: val == "synthetic" or _paths(val),
                   '"synthetic" or a list of dyno log CSV paths'),
-    "dyno_synthetic.cycle": (lambda val: isinstance(val, str) and val in builtin_cycles(),
+    "dyno_synthetic.cycle": (lambda val: isinstance(val, str) and val in BUILTIN_CYCLES,
                              "the name of a built-in cycle"),
     "validate_pairs": (_pairs, 'null or a list of {"name", "ref", "model"} strings'),
     "out_dir": (lambda val: isinstance(val, str), "a directory path"),
@@ -144,7 +144,7 @@ def _check_value(key: str, val, default) -> None:
             raise TypeError(f"config key '{key}' must be {expected}")
         return
     kind = (int, float) if isinstance(default, float) else type(default)
-    if (not isinstance(val, kind) or isinstance(val, bool) != isinstance(default, bool)
+    if (not isinstance(val, kind) or is_number(default) and not is_number(val)
             or isinstance(val, list) and len(val) != len(default)):
         length = f" of {len(default)}" if isinstance(default, list) else ""
         raise TypeError(f"config key '{key}' must be {_JSON_TYPES[type(default)]}{length}")
@@ -184,7 +184,7 @@ def _product_names(cfg) -> tuple[list[str], list[str]]:
     """The config's cycle and rig names in config order, as ``load_cycle``,
     ``read_dyno_csv`` and ``make_dyno_log`` give them: built-in names or file
     stems, ``<cycle>_dyno``. Fails on a name that would key two outputs."""
-    cycles = (list(builtin_cycles()) if cfg["cycles"] == "builtin"
+    cycles = (list(BUILTIN_CYCLES) if cfg["cycles"] == "builtin"
               else [Path(item).stem for item in cfg["cycles"]])
     rigs = ([f"{cfg['dyno_synthetic']['cycle']}_dyno"] if cfg["dyno_logs"] == "synthetic"
             else [Path(item).stem for item in cfg["dyno_logs"]])
@@ -300,7 +300,7 @@ def cmd_ingest(run: Run) -> None:
     profiles_dir.mkdir(exist_ok=True)
     if cfg["dyno_logs"] == "synthetic":
         syn = dict(cfg["dyno_synthetic"])
-        log = make_dyno_log(builtin_cycles()[syn.pop("cycle")], run.vehicle, **syn)
+        log = make_dyno_log(builtin_cycle(syn.pop("cycle")), run.vehicle, **syn)
         raw_path = profiles_dir / f"{log.name}_raw.csv"
         write_dyno_csv(log, raw_path)
         print(f"wrote {raw_path} (synthetic rig recording)")

@@ -40,6 +40,9 @@ class DriveCycle:
         v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
+        if t.shape != v.shape:
+            raise ParseError(f"cycle '{self.name}': t and v differ in shape, "
+                             f"{list(t.shape)} and {list(v.shape)}")
         if t.size < 2:
             raise ParseError(f"cycle '{self.name}': needs at least 2 samples")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):

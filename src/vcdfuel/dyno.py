@@ -66,12 +66,12 @@ class DynoLog:
             setattr(self, name, arr)
             if arr.shape != self.t.shape:
                 raise ParseError(f"dyno log '{self.name}': column '{name}' length mismatch")
+            if not np.isfinite(arr).all():
+                raise ParseError(f"dyno log '{self.name}': column '{name}' holds non-finite values")
         if np.any(np.diff(self.t) < 0):
             raise MonotonicityError(f"dyno log '{self.name}': timestamps must be non-decreasing")
         if np.any(self.fuel_gps < 0):
             raise ParseError(f"dyno log '{self.name}': fuel must be nonnegative")
-        if not np.all(np.isfinite(self.water_temp_c)):
-            raise ParseError(f"dyno log '{self.name}': water temperature must be finite")
 
     def __len__(self):
         return self.t.size

@@ -71,7 +71,7 @@ def field_value(doc: dict, key: str, kind: str = "float"):
     if kind == "dict":
         ok, expected = isinstance(val, dict), "an object"
     elif kind == "float":
-        ok, expected = _is_number(val), "a number"
+        ok, expected = is_number(val), "a number"
     else:
         ok, expected = _is_table(val), "a list of numbers"
     if not ok:
@@ -80,12 +80,13 @@ def field_value(doc: dict, key: str, kind: str = "float"):
     return val
 
 
-def _is_number(val) -> bool:
+def is_number(val) -> bool:
+    """A JSON number: an int or a float, never a bool."""
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _is_table(val) -> bool:
-    return isinstance(val, list) and all(_is_number(item) or _is_table(item) for item in val)
+    return isinstance(val, list) and all(is_number(item) or _is_table(item) for item in val)
 
 
 def _plain(value):

@@ -178,7 +178,8 @@ class GearShiftMaps:
     ``downshift_speeds[k-1]`` the speed below which gear k+1 drops back.
     Both scale with pedal position by (1 + pedal_gain * pedal), so the box
     holds gears longer under load. The hysteresis band between the two must
-    be nonempty everywhere.
+    be nonempty everywhere, so the scale must stay positive up to 100 %
+    pedal.
     """
 
     upshift_speeds: np.ndarray    # m/s, length n_gears - 1
@@ -199,6 +200,9 @@ class GearShiftMaps:
             raise InvalidArgument("hysteresis band empty: need downshift < upshift everywhere, got "
                                   f"downshift_speeds {self.downshift_speeds.tolist()}, "
                                   f"upshift_speeds {self.upshift_speeds.tolist()}")
+        if not 1.0 + 100.0 * self.pedal_gain > 0:
+            raise InvalidArgument("pedal_gain must keep 1 + 100 * pedal_gain positive, got "
+                                  f"{self.pedal_gain}")
         for name in ("upshift_speeds", "downshift_speeds", "torque_curve_speed"):
             values = getattr(self, name)
             if np.any(np.diff(values) <= 0):
@@ -207,18 +211,6 @@ class GearShiftMaps:
             raise InvalidArgument("torque_curve must have one value per torque_curve_speed "
                                   f"entry, got {self.torque_curve.size} and "
                                   f"{self.torque_curve_speed.size}")
-
-    def v_upshift(self, pedal: float, gear: int) -> float:
-        """Speed above which `gear` shifts up; +inf for the top gear."""
-        if gear >= self.upshift_speeds.size + 1:
-            return np.inf
-        return float(self.upshift_speeds[gear - 1] * (1.0 + self.pedal_gain * pedal))
-
-    def v_downshift(self, pedal: float, gear: int) -> float:
-        """Speed below which `gear` shifts down; -inf for first gear."""
-        if gear <= 1:
-            return -np.inf
-        return float(self.downshift_speeds[gear - 2] * (1.0 + self.pedal_gain * pedal))
 
     def gear_from_speed(self, pedal, v):
         """Automatic upshift map: target gear at each (pedal, speed) point."""
@@ -342,21 +334,6 @@ def launch_torque(knots, accel):
     return np.interp(accel, pts[:, 0], pts[:, 1])
 
 
-def select_gear(maps: GearShiftMaps, n_gears: int, prev_gear: int, v: float, pedal: float) -> int:
-    """One step of the hysteresis shift logic; at most one shift per call.
-
-    Strict inequalities on both thresholds, so a speed exactly at a
-    threshold holds the gear.
-    """
-    if not 1 <= prev_gear <= n_gears:
-        raise GearOutOfRange(f"gear {prev_gear} outside [1, {n_gears}]")
-    if prev_gear < n_gears and v > maps.v_upshift(pedal, prev_gear):
-        return prev_gear + 1
-    if prev_gear > 1 and v < maps.v_downshift(pedal, prev_gear):
-        return prev_gear - 1
-    return prev_gear
-
-
 def max_wheel_torque_by_gear(params: VehicleParams, maps: GearShiftMaps, v):
     """Peak wheel torque [Nm] of every gear at speed v, one row per gear; the
     maximum over gears is the pedal normalization curve.
@@ -393,26 +370,35 @@ def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float 
     a = np.gradient(v, t)
     theta = grade(t) if callable(grade) else np.full(n_steps, float(grade))
     standstill = v < STANDSTILL_SPEED
-    n_gears = p.n_gears
 
     # every gear at once: wheel force and the pedal it implies, (n_gears, N)
-    force_by_gear = wheel_force(p, v, a, theta, np.arange(1, n_gears + 1)[:, None])
+    force_by_gear = wheel_force(p, v, a, theta, np.arange(1, p.n_gears + 1)[:, None])
     t_wmax = np.max(max_wheel_torque_by_gear(p, maps, v), axis=0)
     pedal_by_gear = np.clip(np.divide(100.0 * force_by_gear * p.tire_radius, t_wmax,
                                       out=np.zeros_like(force_by_gear), where=t_wmax > 0),
                             0.0, 100.0)
 
-    # the one sequential part: each shift decision samples the previous
-    # step's gear and pedal; standstill puts the box back in first
+    # the one sequential part, the shift schedule: gear k shifts up when v
+    # passes up[k-1], else down when v falls below down[k-1], both scaled by
+    # the previous step's pedal (a positive scale, so the infinite ends keep
+    # k in [1, n_gears]). Strict inequalities: a speed exactly at a
+    # threshold holds the gear. Standstill puts the box back in first.
+    up = [*maps.upshift_speeds.tolist(), np.inf]
+    down = [-np.inf, *maps.downshift_speeds.tolist()]
+    gain = maps.pedal_gain
     gear = np.ones(n_steps, dtype=int)
-    prev_gear, prev_pedal = 1, 0.0
+    k, prev_pedal = 1, 0.0
     for i, (v_i, stopped) in enumerate(zip(v.tolist(), standstill.tolist())):
         if stopped:
-            prev_gear, prev_pedal = 1, 0.0
+            k, prev_pedal = 1, 0.0
             continue
-        prev_gear = select_gear(maps, n_gears, prev_gear, v_i, prev_pedal)
-        prev_pedal = pedal_by_gear.item(prev_gear - 1, i)
-        gear[i] = prev_gear
+        scale = 1.0 + gain * prev_pedal
+        if v_i > up[k - 1] * scale:
+            k += 1
+        elif v_i < down[k - 1] * scale:
+            k -= 1
+        prev_pedal = pedal_by_gear.item(k - 1, i)
+        gear[i] = k
 
     # gather the chosen gear and invert the driveline in one pass
     row, col = gear - 1, np.arange(n_steps)

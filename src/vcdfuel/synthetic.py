@@ -34,6 +34,8 @@ DYNO_SPIKE_RPM = 2200.0   # rpm, typical glitch magnitude
 DYNO_WARMUP = True
 # water temperature: start and settled value, and when it crosses the hot threshold [s]
 COLD_TEMP_C, HOT_TEMP_C, HOT_CROSS_S = 20.0, 92.0, 200.0
+# the shipped cycles, data/cycles/<name>.csv, in the order the pipeline runs them
+BUILTIN_CYCLES = ("cruise", "urban", "aggressive")
 
 
 def packaged_data_dir():
@@ -46,6 +48,11 @@ def default_vehicle() -> ReferenceVehicle:
     return load_vehicle(packaged_data_dir() / "vehicle_midsuv.json")
 
 
+def builtin_cycle(name: str) -> DriveCycle:
+    """The shipped cycle ``name``, one of ``BUILTIN_CYCLES``."""
+    return load_cycle(packaged_data_dir() / "cycles" / f"{name}.csv")
+
+
 def cruise_cycle() -> DriveCycle:
     """Highway-style profile: one launch, long gentle cruise, eased coast-down.
 
@@ -53,12 +60,12 @@ def cruise_cycle() -> DriveCycle:
     the fuel-cut steps fills in toward the cut threshold instead of jumping
     straight past it.
     """
-    return load_cycle(packaged_data_dir() / "cycles" / "cruise.csv")
+    return builtin_cycle("cruise")
 
 
 def urban_cycle() -> DriveCycle:
     """Stop-and-go pattern with frequent idling and low-gear work."""
-    return load_cycle(packaged_data_dir() / "cycles" / "urban.csv")
+    return builtin_cycle("urban")
 
 
 def aggressive_cycle() -> DriveCycle:
@@ -67,11 +74,11 @@ def aggressive_cycle() -> DriveCycle:
     Launch acceleration tapers with speed the way a power-limited vehicle
     does, instead of holding a constant pull into the torque envelope.
     """
-    return load_cycle(packaged_data_dir() / "cycles" / "aggressive.csv")
+    return builtin_cycle("aggressive")
 
 
 def builtin_cycles() -> dict[str, DriveCycle]:
-    return {c.name: c for c in (cruise_cycle(), urban_cycle(), aggressive_cycle())}
+    return {name: builtin_cycle(name) for name in BUILTIN_CYCLES}
 
 
 def make_dyno_log(cycle: DriveCycle, vehicle: ReferenceVehicle, seed: int = DYNO_SEED,

@@ -4,12 +4,13 @@ import json
 import shutil
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vcdfuel import cli, validation
+from vcdfuel import cli, synthetic, validation
 from vcdfuel.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from vcdfuel.csvio import read_columns
 from vcdfuel.drive_cycles import save_cycle
@@ -520,12 +521,15 @@ class TestBadInputsExit1:
         (one_grid_point("torque"), "torque_grid needs 2 or more entries, got 1"),
         (last_gear_ratio(0.0), "gear_ratios must be positive, got [4.0, 2.6, 1.8, 1.35, 1.0, 0.0]"),
         (last_gear_ratio(-0.5), "gear_ratios must be positive, got [4.0, 2.6, 1.8, 1.35, 1.0, -0.5]"),
+        # thresholds scaled by 1 - 0.05 * pedal change sign above 20 % pedal
+        (lambda doc: doc["shifting"].update(pedal_gain_per_pct=-0.05),
+         "pedal_gain must keep 1 + 100 * pedal_gain positive, got -0.05"),
     ], ids=["missing-mass", "negative-mass", "zero-idle-fuel", "negative-idle-fuel",
             "one-number-knot", "descending-knots", "short-torque-curve", "shift-tables-of-three",
             "string-pedal-gain", "string-cut-speed", "string-road-load", "string-idle-torque",
             "bool-mass", "nested-shift-tables", "nested-torque-curve", "empty-torque-curve",
             "one-speed-grid-point", "one-torque-grid-point", "zero-top-ratio",
-            "negative-top-ratio"])
+            "negative-top-ratio", "flipping-pedal-gain"])
     def test_bad_vehicle_json(self, tmp_path, capsys, edit, reason):
         doc = vehicle_to_dict(default_vehicle())
         edit(doc)
@@ -600,6 +604,19 @@ class TestInMemoryPipeline:
         for name in ("read_trace_csv", "load_semi_model", "load_simplified"):
             monkeypatch.setattr(cli, name, refuse)
         assert main(["pipeline", "--out", str(tmp_path)]) == 0
+
+    def test_pipeline_parses_each_builtin_cycle_once(self, tmp_path, monkeypatch):
+        loaded = []
+        real = synthetic.load_cycle
+
+        def counting(path, *args, **kwargs):
+            loaded.append(Path(path).stem)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(synthetic, "load_cycle", counting)
+        assert main(["pipeline", "--out", str(tmp_path)]) == 0
+        # three for simulate, the synthetic rig's own cycle for ingest
+        assert loaded == ["cruise", "urban", "aggressive", "cruise"]
 
     def test_stages_looked_up_as_module_globals(self, tmp_path, monkeypatch):
         # stage timing wraps the cmd_* attributes of vcdfuel.cli by name

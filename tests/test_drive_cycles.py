@@ -81,6 +81,11 @@ class TestLoadCycle:
         with pytest.raises(ParseError, match="non-finite"):
             load_cycle(path)
 
+    def test_t_and_v_must_match_in_shape(self):
+        with pytest.raises(ParseError) as info:
+            DriveCycle("x", [0, 1, 2], [0, 1])
+        assert str(info.value) == "cycle 'x': t and v differ in shape, [3] and [2]"
+
     def test_save_round_trip(self, tmp_path):
         cycle = DriveCycle("rt", [0, 1, 2.5], [0.0, 3.0, 1.5])
         save_cycle(cycle, tmp_path / "rt.csv", unit="kph")

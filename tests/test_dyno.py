@@ -391,6 +391,16 @@ class TestBadArguments:
             make_dyno_log(cruise_cycle(), default_vehicle(), **kwargs)
 
 
+class TestDynoLogChecks:
+    @pytest.mark.parametrize("column", DYNO_COLUMNS)
+    def test_non_finite_channel_named(self, column):
+        fields = {name: np.arange(5.0) for name in DYNO_COLUMNS}
+        fields[column] = np.array([0.0, 1.0, np.nan, 3.0, 4.0])
+        with pytest.raises(ParseError) as info:
+            DynoLog(name="rig", **fields)
+        assert str(info.value) == f"dyno log 'rig': column '{column}' holds non-finite values"
+
+
 class TestDynoCsv:
     def test_round_trip(self, tmp_path):
         log = make_dyno_log(cruise_cycle(), default_vehicle(), seed=7, sample_rate_hz=2.0)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcdfuel.drive_cycles import DriveCycle, resample
@@ -19,7 +19,6 @@ from vcdfuel.powertrain import (
     max_wheel_torque_by_gear,
     road_load,
     save_vehicle,
-    select_gear,
     simulate,
     transmission_output_speed,
     vehicle_from_dict,
@@ -130,44 +129,47 @@ class TestInvertDriveline:
         assert np.array_equal(invert_driveline(params, force, gears), expected)
 
 
-class TestSelectGear:
-    def test_hold_inside_band(self, vehicle):
-        maps = vehicle.shift_maps
-        n = vehicle.params.n_gears
-        v_mid = 0.5 * (maps.v_downshift(0.0, 3) + maps.v_upshift(0.0, 3))
-        assert select_gear(maps, n, 3, v_mid, 0.0) == 3
+def gears_on(vehicle, speeds):
+    """Gear column of ``simulate`` on a cycle that holds ``speeds`` at t = 0,
+    1, 2, ... s, run on a 1 s grid so that each step sees one exact speed."""
+    cycle = DriveCycle("steps", np.arange(len(speeds), dtype=float), speeds)
+    return simulate(cycle, vehicle, dt=1.0).gear.tolist()
 
-    def test_upshift_just_above_threshold(self, vehicle):
-        maps = vehicle.shift_maps
-        n = vehicle.params.n_gears
-        v = maps.v_upshift(20.0, 2) + 1e-9
-        assert select_gear(maps, n, 2, v, 20.0) == 3
 
-    def test_exact_threshold_holds(self, vehicle):
-        maps = vehicle.shift_maps
-        n = vehicle.params.n_gears
-        assert select_gear(maps, n, 2, maps.v_upshift(0.0, 2), 0.0) == 2
-        assert select_gear(maps, n, 2, maps.v_downshift(0.0, 2), 0.0) == 2
+class TestShiftSchedule:
+    """The shift rule inside ``simulate``; with pedal gain 0 the thresholds
+    are the table entries themselves (upshift 4.5, 8, 12.5, ..., downshift
+    3.7, 7.2, 11.7, ... m/s)."""
 
-    def test_top_gear_saturates(self, vehicle):
-        maps = vehicle.shift_maps
-        n = vehicle.params.n_gears
-        assert select_gear(maps, n, n, 80.0, 0.0) == n
+    @pytest.fixture(scope="class")
+    def flat(self, vehicle):
+        return replace(vehicle, shift_maps=replace(vehicle.shift_maps, pedal_gain=0.0))
 
-    def test_first_gear_floor(self, vehicle):
-        maps = vehicle.shift_maps
-        assert select_gear(maps, vehicle.params.n_gears, 1, 0.5, 0.0) == 1
+    def test_hold_inside_band(self, flat):
+        # third gear's band is (7.2, 12.5) m/s
+        assert gears_on(flat, [0.0, 5.0, 9.0, 10.0, 7.5, 12.0]) == [1, 2, 3, 3, 3, 3]
 
-    def test_downshift_below_threshold(self, vehicle):
-        maps = vehicle.shift_maps
-        n = vehicle.params.n_gears
-        v = maps.v_downshift(0.0, 4) - 1e-9
-        assert select_gear(maps, n, 4, v, 0.0) == 3
+    def test_upshift_just_above_threshold(self, flat):
+        assert gears_on(flat, [0.0, 5.0, np.nextafter(8.0, np.inf)]) == [1, 2, 3]
 
-    def test_at_most_one_shift(self, vehicle):
-        # speed far above every threshold still moves up a single gear
-        maps = vehicle.shift_maps
-        assert select_gear(maps, vehicle.params.n_gears, 1, 50.0, 0.0) == 2
+    def test_exact_threshold_holds(self, flat):
+        assert gears_on(flat, [0.0, 5.0, 8.0, 3.7]) == [1, 2, 2, 2]
+
+    def test_top_gear_saturates(self, flat):
+        assert gears_on(flat, [0.0, 5.0, 9.0, 13.0, 18.0, 23.0, 40.0, 60.0]) == \
+            [1, 2, 3, 4, 5, 6, 6, 6]
+
+    def test_first_gear_floor(self, flat):
+        assert gears_on(flat, [0.0, 0.5, 4.5, 0.5]) == [1, 1, 1, 1]
+
+    def test_downshift_below_threshold(self, flat):
+        # fourth gear drops back below 11.7 m/s
+        below = np.nextafter(11.7, -np.inf)
+        assert gears_on(flat, [0.0, 5.0, 9.0, 13.0, 11.7, below]) == [1, 2, 3, 4, 4, 3]
+
+    def test_at_most_one_shift(self, flat):
+        # speed far above every threshold still moves up a single gear a step
+        assert gears_on(flat, [0.0, 50.0, 50.0]) == [1, 2, 3]
 
 
 class TestSimulate:
@@ -253,6 +255,7 @@ def loop_simulate(cycle, vehicle, grade=0.0, dt=0.1):
     `simulate` must match bit for bit."""
     p = vehicle.params
     ctl = vehicle.control
+    maps = vehicle.shift_maps
     grid = resample(cycle, dt)
     t, v = grid.t, grid.v
     n_steps = t.size
@@ -266,7 +269,7 @@ def loop_simulate(cycle, vehicle, grade=0.0, dt=0.1):
     fuel = np.zeros(n_steps)
     flags = np.zeros(n_steps, dtype=int)
 
-    t_wmax = np.max(max_wheel_torque_by_gear(p, vehicle.shift_maps, v), axis=0)
+    t_wmax = np.max(max_wheel_torque_by_gear(p, maps, v), axis=0)
     prev_gear = 1
     prev_pedal = 0.0
     for i in range(n_steps):
@@ -279,7 +282,13 @@ def loop_simulate(cycle, vehicle, grade=0.0, dt=0.1):
             prev_gear, prev_pedal = 1, 0.0
             continue
 
-        k = select_gear(vehicle.shift_maps, p.n_gears, prev_gear, v[i], prev_pedal)
+        # one shift at most, strict inequalities on both thresholds
+        k = prev_gear
+        scale = 1.0 + maps.pedal_gain * prev_pedal
+        if k < p.n_gears and v[i] > maps.upshift_speeds[k - 1] * scale:
+            k += 1
+        elif k > 1 and v[i] < maps.downshift_speeds[k - 2] * scale:
+            k -= 1
         gear[i] = k
 
         force = wheel_force(p, v[i], a[i], theta[i], k)
@@ -289,7 +298,7 @@ def loop_simulate(cycle, vehicle, grade=0.0, dt=0.1):
         torque = force * p.tire_radius / (ratio * p.driveline_eff)
         if k == 1:
             torque += float(launch_torque(ctl.launch_correction, a[i]))
-        t_cap = float(vehicle.shift_maps.max_engine_torque(n_eng))
+        t_cap = float(maps.max_engine_torque(n_eng))
         if torque > t_cap:
             torque = t_cap
             flags[i] |= FLAG_ENVELOPE
@@ -355,7 +364,27 @@ segments = st.lists(st.tuples(st.floats(0.5, 40.0),
                     min_size=1, max_size=12)
 
 
+@st.composite
+def shift_tables(draw):
+    """Upshift and downshift speeds of a six-gear box, both ascending with a
+    nonempty band per gear change, and a pedal gain above -0.01."""
+    steps = np.array(draw(st.lists(st.floats(0.5, 10.0), min_size=5, max_size=5)))
+    band = draw(st.floats(0.05, 0.95))
+    up = np.cumsum(steps)
+    return up, up - band * steps, draw(st.floats(-0.0099, 0.05))
+
+
 class TestSimulateProperties:
+    @given(segments, shift_tables(), st.sampled_from([0.5, 1.0]))
+    @settings(max_examples=50)
+    def test_gears_match_reference_loop(self, vehicle, segs, tables, dt):
+        up, down, gain = tables
+        vehicle = replace(vehicle, shift_maps=replace(
+            vehicle.shift_maps, upshift_speeds=up, downshift_speeds=down, pedal_gain=gain))
+        cycle = _cycle("random", segs)
+        assert np.array_equal(simulate(cycle, vehicle, dt=dt).gear,
+                              loop_simulate(cycle, vehicle, dt=dt).gear)
+
     @given(segments, st.floats(-0.1, 0.1), st.sampled_from([0.05, 0.1, 0.5]))
     # a stop from top gear within one step, then a launch
     @example([(20.0, 30.0), (0.5, 0.0), (5.0, 0.0), (10.0, 15.0)], 0.0, 0.5)
@@ -483,7 +512,12 @@ class TestConstructorsNameTheValue:
          "upshift_speeds must be ascending, got [8.0, 7.0]"),
         ({"torque_curve_speed": [300.0, 100.0]},
          "torque_curve_speed must be ascending, got [300.0, 100.0]"),
-    ], ids=["lengths", "hysteresis", "order", "torque-curve"])
+        ({"pedal_gain": -0.05}, "pedal_gain must keep 1 + 100 * pedal_gain positive, got -0.05"),
+        ({"pedal_gain": -0.01}, "pedal_gain must keep 1 + 100 * pedal_gain positive, got -0.01"),
+        ({"pedal_gain": float("nan")},
+         "pedal_gain must keep 1 + 100 * pedal_gain positive, got nan"),
+    ], ids=["lengths", "hysteresis", "order", "torque-curve", "flipping-pedal-gain",
+            "zero-scale-pedal-gain", "nan-pedal-gain"])
     def test_gear_shift_maps(self, overrides, message):
         assert raised_message(lambda: make_shift_maps(**overrides)) == message
 
