@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__, dyno, extraction, simplified, synthetic
 from .drive_cycles import UNIT_FACTORS, load_cycle
-from .dyno import process_log, read_dyno_csv, write_dyno_csv
+from .dyno import process_log, read_dyno_csv
 from .errors import MissingPrerequisite, ParseError, VcdFuelError
 from .extraction import VcdDataset, run_vcd
 from .jsonio import is_number, read_json, write_json
@@ -300,11 +300,7 @@ def cmd_ingest(run: Run) -> None:
     profiles_dir.mkdir(exist_ok=True)
     if cfg["dyno_logs"] == "synthetic":
         syn = dict(cfg["dyno_synthetic"])
-        log = make_dyno_log(builtin_cycle(syn.pop("cycle")), run.vehicle, **syn)
-        raw_path = profiles_dir / f"{log.name}_raw.csv"
-        write_dyno_csv(log, raw_path)
-        print(f"wrote {raw_path} (synthetic rig recording)")
-        logs = [log]
+        logs = [make_dyno_log(builtin_cycle(syn.pop("cycle")), run.vehicle, **syn)]
     else:
         logs = [read_dyno_csv(_existing(item, "dyno log")) for item in cfg["dyno_logs"]]
     run.rig_traces = {}

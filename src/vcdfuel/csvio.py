@@ -19,19 +19,16 @@ def write_columns(path, columns: dict[str, np.ndarray], fmt: str) -> None:
     """Write equal-length columns under their names, CRLF line ends.
 
     Integer columns are written with ``"%d"``, float columns with the printf
-    spec ``fmt`` (``"%r"`` round-trips float64 exactly). Each block of a
-    column is formatted by one ``%`` operation.
+    spec ``fmt`` (``"%r"`` round-trips float64 exactly). Every row is
+    formatted by one ``%`` operation with the same row template.
     """
-    specs = ["%d" if col.dtype.kind in "iu" else fmt for col in columns.values()]
+    row = ",".join("%d" if col.dtype.kind in "iu" else fmt for col in columns.values()) + "\r\n"
     n = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(columns) + "\r\n")
         for i in range(0, n, _BLOCK):
-            cells = []
-            for spec, col in zip(specs, columns.values()):
-                block = col[i:i + _BLOCK].tolist()
-                cells.append((",".join([spec] * len(block)) % tuple(block)).split(","))
-            f.write("".join([",".join(row) + "\r\n" for row in zip(*cells)]))
+            block = zip(*[col[i:i + _BLOCK].tolist() for col in columns.values()])
+            f.write("".join(map(row.__mod__, block)))
 
 
 def read_columns(path) -> dict[str, np.ndarray]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvio import read_columns, write_columns
 from .errors import MonotonicityError, ParseError, UnitError
-from .trace import uniform_grid
+from .trace import checked_columns, uniform_grid
 
 # factors converting the named unit TO m/s
 UNIT_FACTORS = {
@@ -36,17 +36,11 @@ class DriveCycle:
     v: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        t, v = checked_columns(f"cycle '{self.name}'", t=self.t, v=self.v).values()
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "v", v)
-        if t.shape != v.shape:
-            raise ParseError(f"cycle '{self.name}': t and v differ in shape, "
-                             f"{list(t.shape)} and {list(v.shape)}")
         if t.size < 2:
             raise ParseError(f"cycle '{self.name}': needs at least 2 samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ParseError(f"cycle '{self.name}': non-finite time or speed sample")
         if t[0] != 0.0:
             raise MonotonicityError(f"cycle '{self.name}': first timestamp must be 0")
         if np.any(np.diff(t) <= 0):

@@ -30,7 +30,7 @@ from .errors import (
     VcdFuelError,
 )
 from .extraction import percentile
-from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
+from .trace import DT, RADPS_TO_RPM, Trace, checked_columns, uniform_grid
 
 KPH_TO_MPS = 1.0 / 3.6
 
@@ -61,13 +61,10 @@ class DynoLog:
     trans_out_rpm: np.ndarray
 
     def __post_init__(self):
-        for name in DYNO_COLUMNS:
-            arr = np.asarray(getattr(self, name), dtype=float)
+        cols = checked_columns(f"dyno log '{self.name}'",
+                               **{name: getattr(self, name) for name in DYNO_COLUMNS})
+        for name, arr in cols.items():
             setattr(self, name, arr)
-            if arr.shape != self.t.shape:
-                raise ParseError(f"dyno log '{self.name}': column '{name}' length mismatch")
-            if not np.isfinite(arr).all():
-                raise ParseError(f"dyno log '{self.name}': column '{name}' holds non-finite values")
         if np.any(np.diff(self.t) < 0):
             raise MonotonicityError(f"dyno log '{self.name}': timestamps must be non-decreasing")
         if np.any(self.fuel_gps < 0):

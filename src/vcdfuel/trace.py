@@ -26,8 +26,6 @@ FLAG_ENVELOPE = 1    # demanded torque clamped to the engine envelope
 FLAG_CLAMPED = 2     # model input clamped to its fitted/defined domain
 FLAG_FLOOR = 4       # demanded torque lifted to the minimum-torque floor
 
-_FLOAT_COLS = ("v", "a", "grade", "engine_speed", "engine_torque", "pedal", "fuel")
-
 
 @dataclass
 class Trace:
@@ -44,25 +42,18 @@ class Trace:
     flags: np.ndarray | None = None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        for col in ("t", *_FLOAT_COLS):
-            val = getattr(self, col)
-            if val is not None:
-                val = np.asarray(val, dtype=float)
-                if val.shape != self.t.shape:
-                    raise ParseError(f"trace '{self.name}': column '{col}' length mismatch")
-                if not np.isfinite(val).all():
-                    raise ParseError(f"trace '{self.name}': column '{col}' holds non-finite values")
-                setattr(self, col, val)
-        for col in ("gear", "flags"):
-            val = getattr(self, col)
-            if val is not None:
-                ints = np.asarray(val).astype(int, copy=False)
+        owner = f"trace '{self.name}'"
+        cols = checked_columns(owner, t=self.t, **{c: getattr(self, c) for c in self.columns()})
+        for col, val in cols.items():
+            if col in ("gear", "flags"):
+                with np.errstate(invalid="ignore"):  # out-of-range values fail the test below
+                    ints = val.astype(int)
                 if np.any(ints != val):
-                    raise ParseError(f"trace '{self.name}': column '{col}' holds non-integers")
-                setattr(self, col, ints)
-        if self.t.size and np.any(np.diff(self.t) <= 0):
-            raise MonotonicityError(f"trace '{self.name}': timestamps not strictly increasing")
+                    raise ParseError(f"{owner}: column '{col}' holds non-integers")
+                val = ints
+            setattr(self, col, val)
+        if np.any(np.diff(self.t) <= 0):
+            raise MonotonicityError(f"{owner}: timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return self.t.size
@@ -79,6 +70,23 @@ class Trace:
             f.name for f in fields(self)
             if f.name not in ("name", "t") and getattr(self, f.name) is not None
         ]
+
+
+def checked_columns(owner: str, **columns) -> dict[str, np.ndarray]:
+    """The named columns, ``t`` first, as float arrays. ParseError naming
+    ``owner`` and the column when ``t`` is not one-dimensional, a column's
+    shape differs from ``t``'s, or a value is not finite."""
+    cols = {col: np.asarray(val, dtype=float) for col, val in columns.items()}
+    t = cols["t"]
+    if t.ndim != 1:
+        raise ParseError(f"{owner}: column 't' is not one-dimensional, shape {list(t.shape)}")
+    for col, val in cols.items():
+        if val.shape != t.shape:
+            raise ParseError(f"{owner}: t and {col} differ in shape, "
+                             f"{list(t.shape)} and {list(val.shape)}")
+        if not np.isfinite(val).all():
+            raise ParseError(f"{owner}: column '{col}' holds non-finite values")
+    return cols
 
 
 def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:

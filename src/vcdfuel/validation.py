@@ -19,7 +19,6 @@ import numpy as np
 
 from .csvio import write_columns
 from .errors import InvalidArgument, LengthMismatch, NoOverlap, ZeroReference
-from .jsonio import read_json
 from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
 
 
@@ -133,11 +132,6 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {"records": {rec.cycle: asdict(rec) for rec in self.records}}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ValidationReport":
-        records = [PairMetrics(**rec) for _, rec in sorted(doc["records"].items())]
-        return cls(records=records)
-
     def format_table(self) -> str:
         rows = [("cycle", "MAE fuel (g/s)", "cum. fuel err (%)", "MAE N (rpm)",
                  "MAE T (Nm)", "MAE pedal (%)", "gear mismatch (%)")]
@@ -241,7 +235,3 @@ def _write_svg_panel(pair, path) -> None:
                 f'viewBox="0 0 {width} {height}">\n'
                 f'<rect width="{width}" height="{height}" fill="white"/>\n'
                 f'{polyline("#1f77b4", ref)}\n{polyline("#d62728", model)}\n</svg>\n')
-
-
-def load_report(path) -> ValidationReport:
-    return read_json(path, ValidationReport.from_dict)

@@ -897,8 +897,8 @@ class TestPlotsAndDynoPairs:
 BUILTIN_ARTIFACTS = sorted([
     *(f"traces/{cycle}_reference.csv" for cycle in ("aggressive", "cruise", "urban")),
     "semi_model.json", "simplified_model.json",
-    "profiles/cruise_dyno_raw.csv", "profiles/cruise_dyno_profile.json",
-    "profiles/cruise_dyno_trace.csv", "reports/report.json", "reports/report.txt"])
+    "profiles/cruise_dyno_profile.json", "profiles/cruise_dyno_trace.csv",
+    "reports/report.json", "reports/report.txt"])
 
 
 # the comparison-file column of each model output

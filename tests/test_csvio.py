@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vcdfuel.csvio import read_columns, write_columns
+from vcdfuel.drive_cycles import DriveCycle
+from vcdfuel.dyno import DYNO_COLUMNS, DynoLog
 from vcdfuel.errors import ParseError
 from vcdfuel.trace import Trace, read_trace_csv
 
@@ -170,3 +172,70 @@ class TestTraceColumns:
         cols[col][1] = value
         with pytest.raises(ParseError, match=f"trace 'x': column '{col}' holds non-finite"):
             Trace(name="x", **cols)
+
+
+# (owner label, class, columns it accepts) of every container of columns
+CONTAINERS = {
+    "trace": ("trace 'x'", Trace, {"t": [0.0, 1.0, 2.0], "v": [0.0, 1.0, 1.0],
+                                   "gear": [1, 1, 2], "flags": [0, 0, 4]}),
+    "dyno": ("dyno log 'x'", DynoLog, {col: [0.0, 1.0, 2.0] for col in DYNO_COLUMNS}),
+    "cycle": ("cycle 'x'", DriveCycle, {"t": [0.0, 1.0, 2.0], "v": [0.0, 1.0, 1.0]}),
+}
+
+
+def two_d(values):
+    return [values, values]
+
+
+class TestColumnRule:
+    """One rule for the columns of a Trace, DynoLog and DriveCycle: t is
+    one-dimensional, every column has t's shape, every value is finite."""
+
+    @pytest.mark.parametrize("kind, changes, message", [
+        ("trace", {"t": two_d, "v": two_d, "gear": two_d, "flags": two_d},
+         "column 't' is not one-dimensional, shape [2, 3]"),
+        ("dyno", {col: two_d for col in DYNO_COLUMNS},
+         "column 't' is not one-dimensional, shape [2, 3]"),
+        ("cycle", {"t": two_d, "v": two_d}, "column 't' is not one-dimensional, shape [2, 3]"),
+        ("trace", {"v": two_d}, "t and v differ in shape, [3] and [2, 3]"),
+        ("trace", {"v": lambda v: [v]}, "t and v differ in shape, [3] and [1, 3]"),
+        ("dyno", {"engine_rpm": two_d}, "t and engine_rpm differ in shape, [3] and [2, 3]"),
+        ("trace", {"gear": lambda _: [1]}, "t and gear differ in shape, [3] and [1]"),
+        ("dyno", {"gear": lambda _: [1]}, "t and gear differ in shape, [3] and [1]"),
+        ("trace", {"flags": two_d}, "t and flags differ in shape, [3] and [2, 3]"),
+        ("trace", {"gear": lambda _: [1, np.nan, 2]}, "column 'gear' holds non-finite values"),
+        ("trace", {"flags": lambda _: [0, 0, np.inf]}, "column 'flags' holds non-finite values"),
+        ("trace", {"gear": lambda _: [1, 1e20, 2]}, "column 'gear' holds non-integers"),
+        ("cycle", {"t": lambda _: [0, np.nan, 2]}, "column 't' holds non-finite values"),
+        ("cycle", {"v": lambda _: [0, 1, np.inf]}, "column 'v' holds non-finite values"),
+    ], ids=["trace-2d-t", "dyno-2d-t", "cycle-2d-t", "trace-2d-v", "trace-row-v",
+            "dyno-2d-rpm", "trace-short-gear", "dyno-short-gear", "trace-2d-flags",
+            "trace-nan-gear", "trace-inf-flags", "trace-huge-gear", "cycle-nan-t",
+            "cycle-inf-v"])
+    def test_bad_column_is_a_parse_error_naming_it(self, kind, changes, message):
+        owner, cls, cols = CONTAINERS[kind]
+        cols = {**cols, **{col: change(cols[col]) for col, change in changes.items()}}
+        with pytest.raises(ParseError) as info:
+            cls(name="x", **cols)
+        assert str(info.value) == f"{owner}: {message}"
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    @given(data=st.data())
+    def test_constructs_exactly_when_shapes_are_one_and_the_same_1d(self, kind, data):
+        owner, cls, cols = CONTAINERS[kind]
+        shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=2, max_side=4)
+        t_shape = data.draw(shapes, label="t shape")
+        col = data.draw(st.sampled_from(list(cols)[1:]), label="column")
+        # t's shape, one with t's size, or any
+        same_size = st.sampled_from([t_shape, (1, *t_shape), (*t_shape, 1)])
+        col_shape = data.draw(st.one_of(same_size, shapes), label="column shape")
+        t = np.arange(float(np.prod(t_shape))).reshape(t_shape)
+        drawn = {name: np.zeros(t_shape) for name in cols}
+        drawn.update({"t": t, col: np.zeros(col_shape)})
+        if t_shape == col_shape and len(t_shape) == 1:
+            cls(name="x", **drawn)
+        else:
+            with pytest.raises(ParseError) as info:
+                cls(name="x", **drawn)
+            named = "column 't'" if len(t_shape) != 1 else f"t and {col} differ in shape"
+            assert str(info.value).startswith(f"{owner}: {named}")

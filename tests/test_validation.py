@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vcdfuel.errors import InvalidArgument, LengthMismatch, NoOverlap, ZeroReference
-from vcdfuel.jsonio import write_json
 from vcdfuel.trace import Trace
 from vcdfuel.validation import (
     ValidationReport,
@@ -14,7 +13,6 @@ from vcdfuel.validation import (
     cumulative_error_pct,
     cumulative_fuel,
     gear_metrics,
-    load_report,
     mae,
 )
 
@@ -207,13 +205,6 @@ class TestBuildReport:
         fwd = build_report(pairs).to_dict()
         rev = build_report(list(reversed(pairs))).to_dict()
         assert fwd == rev
-
-    def test_json_round_trip_lossless(self, tmp_path):
-        pairs = [self._pair(np.random.default_rng(9), name="c")]
-        report = build_report(pairs)
-        write_json(tmp_path / "report.json", report.to_dict())
-        back = load_report(tmp_path / "report.json")
-        assert back.to_dict() == report.to_dict()
 
     def test_metrics_invariant_under_common_time_shift(self):
         name, ref, model = self._pair(np.random.default_rng(57))
