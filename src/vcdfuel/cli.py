@@ -28,7 +28,7 @@ from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
-from . import __version__, dyno, extraction, simplified, synthetic
+from . import __version__, csvio, dyno, extraction, simplified, synthetic
 from .drive_cycles import UNIT_FACTORS, load_cycle
 from .dyno import process_log, read_dyno_csv
 from .errors import MissingPrerequisite, ParseError, VcdFuelError
@@ -394,7 +394,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"unit": args.unit, "dt": args.dt})
-        args.func(Run(cfg, args))
+        with csvio.background():
+            args.func(Run(cfg, args))
     except (MissingPrerequisite, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,15 +4,23 @@ factors, integer columns)."""
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
+import marshal
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
 
 import numpy as np
 
 from .errors import ParseError
+from .rows import BLOCK, format_rows
 
-
-# rows held as Python objects at once, which bounds memory on long files
-_BLOCK = 1024
+HELPER = [sys.executable, "-I", "-S", os.path.join(os.path.dirname(__file__), "rows.py")]
+_pending = contextvars.ContextVar("pending", default=None)  # in background(): path -> helper
 
 
 def write_columns(path, columns: dict[str, np.ndarray], fmt: str) -> None:
@@ -23,12 +31,41 @@ def write_columns(path, columns: dict[str, np.ndarray], fmt: str) -> None:
     formatted by one ``%`` operation with the same row template.
     """
     row = ",".join("%d" if col.dtype.kind in "iu" else fmt for col in columns.values()) + "\r\n"
-    n = len(next(iter(columns.values())))
+    cols = [np.ascontiguousarray(col, col.dtype.newbyteorder("=")) for col in columns.values()]
+    _settle(pending := _pending.get(), path)
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(columns) + "\r\n")
-        for i in range(0, n, _BLOCK):
-            block = zip(*[col[i:i + _BLOCK].tolist() for col in columns.values()])
-            f.write("".join(map(row.__mod__, block)))
+        if pending is None:
+            return format_rows(f.write, row, cols)
+        f.flush()
+        with tempfile.TemporaryFile() as job:
+            job.writelines([marshal.dumps((row, [(c.dtype.char, c.nbytes) for c in cols])), *cols])
+            job.seek(0)
+            pending[path] = subprocess.Popen(HELPER, stdin=job, stdout=f, stderr=subprocess.PIPE)
+
+
+@contextlib.contextmanager
+def background():
+    """Write CSV rows in helper processes; on leaving, wait for all (OSError names a failed one)."""
+    token = _pending.set(pending := {})
+    try:
+        yield
+    finally:
+        _pending.reset(token)
+        _settle(pending)
+
+
+def _settle(pending: dict | None, path=None) -> None:
+    """Wait for the helpers in ``pending`` writing ``path`` (all if None) and for all but the
+    newest seven, so that at most eight are alive at once; OSError if one failed."""
+    paths = list(pending or ())
+    procs = {other: pending.pop(other) for i, other in enumerate(paths) if i < len(paths) - 7
+             or path is None or os.path.exists(path) and os.path.samefile(other, path)}
+    errs = {other: proc.communicate()[1].decode(errors="replace") for other, proc in procs.items()}
+    for other, proc in procs.items():
+        if proc.returncode:
+            why = errs[other].strip().rpartition("\n")[2] or f"exit status {proc.returncode}"
+            raise OSError(f"{other}: formatting rows failed ({why})")
 
 
 def read_columns(path) -> dict[str, np.ndarray]:
@@ -38,7 +75,9 @@ def read_columns(path) -> dict[str, np.ndarray]:
     UTF-8 CSV text, a missing or repeated column name, a ragged row, a cell
     that is not a finite number, or a file without data rows raises
     ParseError naming the file and, where there is one, the line.
+    numpy parses the rows; on any trouble, the per-row path names what is wrong.
     """
+    _settle(_pending.get(), path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
@@ -47,6 +86,13 @@ def read_columns(path) -> dict[str, np.ndarray]:
                 raise ParseError(f"{path}:1: empty header or column name")
             if len(set(names)) != len(names):
                 raise ParseError(f"{path}:1: repeated column in header {','.join(names)}")
+            with contextlib.suppress(Exception), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(f, delimiter=",", quotechar='"', comments=None, ndmin=2).T
+                if len(data) == len(names) and data.size and np.isfinite(data).all():
+                    return dict(zip(names, np.ascontiguousarray(data)))
+            f.seek(0)
+            next(reader)
             blocks, rows = [], []
             for lineno, row in enumerate(reader, start=2):
                 if any(cell.strip() for cell in row):
@@ -54,7 +100,7 @@ def read_columns(path) -> dict[str, np.ndarray]:
                         raise ParseError(f"{path}:{lineno}: expected {len(names)} columns, "
                                          f"got {len(row)}")
                     rows.append((lineno, row))
-                if len(rows) == _BLOCK:
+                if len(rows) == BLOCK:
                     blocks.append(_floats(path, names, rows))
                     rows = []
             blocks.append(_floats(path, names, rows))

@@ -74,19 +74,23 @@ class Trace:
 
 def checked_columns(owner: str, **columns) -> dict[str, np.ndarray]:
     """The named columns, ``t`` first, as float arrays. ParseError naming
-    ``owner`` and the column when ``t`` is not one-dimensional, a column's
-    shape differs from ``t``'s, or a value is not finite."""
-    cols = {col: np.asarray(val, dtype=float) for col, val in columns.items()}
-    t = cols["t"]
+    ``owner`` and the column when it is not numbers, ``t`` is not 1-D, a
+    column's shape differs from ``t``'s, or a value is not finite."""
+    for col, val in columns.items():
+        try:
+            columns[col] = np.asarray(val, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise ParseError(f"{owner}: column '{col}' is not an array of numbers") from None
+    t = columns["t"]
     if t.ndim != 1:
         raise ParseError(f"{owner}: column 't' is not one-dimensional, shape {list(t.shape)}")
-    for col, val in cols.items():
+    for col, val in columns.items():
         if val.shape != t.shape:
             raise ParseError(f"{owner}: t and {col} differ in shape, "
                              f"{list(t.shape)} and {list(val.shape)}")
         if not np.isfinite(val).all():
             raise ParseError(f"{owner}: column '{col}' holds non-finite values")
-    return cols
+    return columns
 
 
 def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:

@@ -1,7 +1,9 @@
 import hashlib
 import inspect
 import json
+import os
 import shutil
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vcdfuel import cli, synthetic, validation
+from vcdfuel import cli, csvio, synthetic, validation
 from vcdfuel.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from vcdfuel.csvio import read_columns
 from vcdfuel.drive_cycles import save_cycle
@@ -686,6 +688,57 @@ class TestValidateEquivalence:
         assert rec["mae_fuel_gps"] == pytest.approx(lib.mae_fuel_gps, rel=1e-12)
         assert rec["cumulative_error_pct"] == pytest.approx(lib.cumulative_error_pct, rel=1e-12)
         assert rec["gear_mismatch_pct"] == pytest.approx(lib.gear_mismatch_pct, rel=1e-12)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBackgroundWrites:
+    """Inside a command each CSV's rows are formatted by a helper process,
+    which the command waits for before it returns."""
+
+    @pytest.mark.parametrize("dyno_log, code", [(None, 0), ("missing.csv", 2), ("bad.csv", 1)],
+                             ids=["ok", "missing-log", "bad-log"])
+    def test_no_helper_outlives_main(self, pipeline_out, tmp_path, dyno_log, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dyno_logs": [str(tmp_path / dyno_log)]} if dyno_log else {}))
+        (tmp_path / "bad.csv").write_text(DYNO_HEADER)
+        out = tmp_path / "out"
+        # ingest fails after simulate has handed its traces to helpers
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == code
+        no_child_left()
+        assert tree(out / "traces") == tree(pipeline_out / "traces")
+
+    def test_failed_helper_is_one_error_naming_its_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(csvio, "HELPER", [sys.executable, "-c", "import sys; sys.exit(3)"])
+        assert main(["simulate", "--out", str(tmp_path)]) == 2
+        no_child_left()
+        path = tmp_path / "traces" / "cruise_reference.csv"
+        assert capsys.readouterr().err == \
+            f"error: {path}: formatting rows failed (exit status 3)\n"
+
+    def test_pipeline_validates_traces_it_wrote(self, tmp_path, capsys, monkeypatch):
+        # a helper that starts late: validate must wait for the traces it reads
+        monkeypatch.setattr(csvio, "HELPER", [
+            *csvio.HELPER[:-1], "-c",
+            "import runpy, sys, time; time.sleep(0.5);"
+            "runpy.run_path(sys.argv[1], run_name='__main__')",
+            csvio.HELPER[-1]])
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"validate_pairs": [
+            {"name": "pair", "ref": str(out / "traces" / "cruise_reference.csv"),
+             "model": str(out / "traces" / "urban_reference.csv")}]}))
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        reports = tree(out / "reports")
+        printed = capsys.readouterr().out.splitlines()[-len(reports["report.txt"].splitlines()):]
+        shutil.rmtree(out)
+        for stage in ("simulate", "validate"):
+            assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+        assert tree(out / "reports") == reports
+        assert capsys.readouterr().out.splitlines()[-len(printed):] == printed
 
 
 class TestConfig:

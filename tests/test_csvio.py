@@ -1,4 +1,5 @@
 import csv
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from vcdfuel import csvio
 from vcdfuel.csvio import read_columns, write_columns
 from vcdfuel.drive_cycles import DriveCycle
 from vcdfuel.dyno import DYNO_COLUMNS, DynoLog
@@ -96,6 +98,38 @@ class TestWriteOracle:
         write_columns(tmp_path / "new.csv", cols, spec)
         csv_writer_columns(tmp_path / "old.csv", cols, fmt)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestBackground:
+    @pytest.mark.parametrize("spec", ["%r", "%.10g"])
+    def test_helper_writes_the_callers_bytes_without_numpy(self, tmp_path, monkeypatch, spec):
+        rng = np.random.default_rng(2)
+        x = rng.integers(0, 2**64, 2_500, dtype=np.uint64).view(np.float64)
+        x[~np.isfinite(x)] = -0.0
+        cols = {"t": np.arange(x.size) * 0.1, "x": x, "gear": rng.integers(1, 7, x.size),
+                "big": rng.integers(-2**62, 2**62, x.size)}
+        write_columns(tmp_path / "caller.csv", cols, spec)
+        # the helper command, reporting the modules it imported
+        modules = tmp_path / "modules.txt"
+        monkeypatch.setattr(csvio, "HELPER", [
+            *csvio.HELPER[:-1], "-c",
+            "import runpy, sys; runpy.run_path(sys.argv[1], run_name='__main__');"
+            "open(sys.argv[2], 'w').write(' '.join(sys.modules))",
+            csvio.HELPER[-1], str(modules)])
+        with csvio.background():
+            write_columns(tmp_path / "helper.csv", cols, spec)
+        assert (tmp_path / "helper.csv").read_bytes() == (tmp_path / "caller.csv").read_bytes()
+        imported = modules.read_text().split()
+        assert "marshal" in imported and not [m for m in imported if m.startswith("numpy")]
+
+
+    def test_at_most_eight_helpers_alive(self, tmp_path):
+        with csvio.background():
+            for i in range(20):
+                write_columns(tmp_path / f"{i}.csv", {"t": np.arange(3.0)}, "%r")
+                assert len(csvio._pending.get()) <= 8
+        for i in range(20):
+            assert (tmp_path / f"{i}.csv").read_bytes() == b"t\r\n0.0\r\n1.0\r\n2.0\r\n"
 
 
 class TestReadColumns:
@@ -208,10 +242,15 @@ class TestColumnRule:
         ("trace", {"gear": lambda _: [1, 1e20, 2]}, "column 'gear' holds non-integers"),
         ("cycle", {"t": lambda _: [0, np.nan, 2]}, "column 't' holds non-finite values"),
         ("cycle", {"v": lambda _: [0, 1, np.inf]}, "column 'v' holds non-finite values"),
+        ("trace", {"t": lambda _: [[0, 1], [2]]}, "column 't' is not an array of numbers"),
+        ("cycle", {"v": lambda _: ["a", "b", "c"]}, "column 'v' is not an array of numbers"),
+        ("trace", {"v": lambda _: {"a": 1}}, "column 'v' is not an array of numbers"),
+        ("dyno", {"fuel_gps": lambda _: [0, 1, "x"]},
+         "column 'fuel_gps' is not an array of numbers"),
     ], ids=["trace-2d-t", "dyno-2d-t", "cycle-2d-t", "trace-2d-v", "trace-row-v",
             "dyno-2d-rpm", "trace-short-gear", "dyno-short-gear", "trace-2d-flags",
             "trace-nan-gear", "trace-inf-flags", "trace-huge-gear", "cycle-nan-t",
-            "cycle-inf-v"])
+            "cycle-inf-v", "trace-ragged-t", "cycle-text-v", "trace-dict-v", "dyno-text-fuel"])
     def test_bad_column_is_a_parse_error_naming_it(self, kind, changes, message):
         owner, cls, cols = CONTAINERS[kind]
         cols = {**cols, **{col: change(cols[col]) for col, change in changes.items()}}
@@ -239,3 +278,51 @@ class TestColumnRule:
                 cls(name="x", **drawn)
             named = "column 't'" if len(t_shape) != 1 else f"t and {col} differ in shape"
             assert str(info.value).startswith(f"{owner}: {named}")
+
+
+# cells that both readers take as numbers, and cells one of them might read differently
+NUMBERS = ["0", "1.5", "-2e3", "+1", ".5", "5.", " 3 ", "\t4", '"1"', '"1.5"', '" 2"']
+ODD = ["1_0", "nan", "-inf", "Infinity", "#", "#1", "", " ", "abc", ' "2"', '"a,b"', '1"2"',
+       '"1"x', '""', '"1\n2"', "0x10", "1e400", "\x00", "\u0661"]
+HEADERS = {"t,v": 2, '"t","V"': 2, "t": 1, " t , v ,x": 3, "t,v,t": 3}
+number = st.one_of(st.sampled_from(NUMBERS), finite.map(repr))
+
+
+def csv_text(header):
+    """A header, then rows of its width in numbers, or of any cells, blank ones included."""
+    width = HEADERS[header]
+    good = st.lists(number, min_size=width, max_size=width)
+    odd = st.lists(st.one_of(number, st.sampled_from(ODD)), min_size=1, max_size=4)
+    rows = st.lists(st.one_of(good, good, good, odd).map(",".join), max_size=6)
+    return st.builds(lambda bom, rows, ends: bom + "".join(
+                         line + end for line, end in zip([header, *rows], ends)),
+                     st.sampled_from(["", "\ufeff"]), rows,
+                     st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=7, max_size=7))
+
+
+csv_texts = st.sampled_from(sorted(HEADERS)).flatmap(csv_text)
+
+
+def read_outcome(path):
+    """``read_columns``'s columns as raw bits, or its ParseError message."""
+    try:
+        return {name: col.view(np.int64).tolist() for name, col in read_columns(path).items()}
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestFastReader:
+    """numpy's loader and the per-row path read every text alike."""
+
+    @given(csv_texts)
+    @example("t,v\n0,1\n")
+    @example('"t","V"\r"1",2\r\r3,"4"\r')
+    @example("\ufefft\n1\n\n2\n")
+    @example("t,v\n")
+    @example("t,v\n1,1_0\n")
+    def test_same_arrays_or_error_as_per_row(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        path.write_bytes(text.encode())
+        fast = read_outcome(path)
+        with patch.object(np, "loadtxt", side_effect=ValueError):  # the per-row path alone
+            assert read_outcome(path) == fast
