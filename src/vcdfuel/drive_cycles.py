@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import MonotonicityError, ParseError, UnitError
+from .errors import InvalidArgument, ParseError
 from .trace import checked_columns, uniform_grid
 
 # factors converting the named unit TO m/s
@@ -42,9 +42,9 @@ class DriveCycle:
         if t.size < 2:
             raise ParseError(f"cycle '{self.name}': needs at least 2 samples")
         if t[0] != 0.0:
-            raise MonotonicityError(f"cycle '{self.name}': first timestamp must be 0")
+            raise ParseError(f"cycle '{self.name}': first timestamp must be 0")
         if np.any(np.diff(t) <= 0):
-            raise MonotonicityError(f"cycle '{self.name}': timestamps not strictly increasing")
+            raise ParseError(f"cycle '{self.name}': timestamps not strictly increasing")
         if np.any(v < 0):
             raise ParseError(f"cycle '{self.name}': negative speed sample")
 
@@ -67,7 +67,7 @@ def load_cycle(path, unit: str = "mps") -> DriveCycle:
     """
     path = Path(path)
     if unit not in UNIT_FACTORS:
-        raise UnitError(f"unknown unit '{unit}' (expected one of {sorted(UNIT_FACTORS)})")
+        raise InvalidArgument(f"unknown unit '{unit}' (expected one of {sorted(UNIT_FACTORS)})")
     data = read_columns(path)
     if list(data) != ["t", "v"]:
         raise ParseError(f"{path}: expected header 't,v', got {','.join(data)!r}")
@@ -77,7 +77,7 @@ def load_cycle(path, unit: str = "mps") -> DriveCycle:
 def save_cycle(cycle: DriveCycle, path, unit: str = "mps") -> None:
     """Write a cycle back to `t,v` CSV in the requested unit."""
     if unit not in UNIT_FACTORS:
-        raise UnitError(f"unknown unit '{unit}'")
+        raise InvalidArgument(f"unknown unit '{unit}'")
     write_columns(path, {"t": cycle.t, "v": cycle.v / UNIT_FACTORS[unit]}, "%.10g")
 
 

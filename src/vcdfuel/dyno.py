@@ -16,19 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import (
-    BoundNotReached,
-    InsufficientData,
-    InvalidArgument,
-    InvalidDt,
-    MonotonicityError,
-    NeverHot,
-    NonPositiveSlope,
-    ParseError,
-    SeriesTooShort,
-    SmoothingDiverged,
-    VcdFuelError,
-)
+from .errors import BoundNotReached, InsufficientData, InvalidArgument, ParseError, VcdFuelError
 from .extraction import percentile
 from .trace import DT, RADPS_TO_RPM, Trace, checked_columns, uniform_grid
 
@@ -66,7 +54,7 @@ class DynoLog:
         for name, arr in cols.items():
             setattr(self, name, arr)
         if np.any(np.diff(self.t) < 0):
-            raise MonotonicityError(f"dyno log '{self.name}': timestamps must be non-decreasing")
+            raise ParseError(f"dyno log '{self.name}': timestamps must be non-decreasing")
         if np.any(self.fuel_gps < 0):
             raise ParseError(f"dyno log '{self.name}': fuel must be nonnegative")
 
@@ -82,9 +70,8 @@ class DynoLog:
         """Uniform grid via linear interpolation; gear is that of the first
         sample at or after each grid time."""
         grid = uniform_grid(self.t[0], self.t[-1], dt)
-        kwargs = {}
-        for name in DYNO_COLUMNS[1:]:
-            kwargs[name] = np.interp(grid, self.t, getattr(self, name))
+        kwargs = {name: np.interp(grid, self.t, getattr(self, name))
+                  for name in DYNO_COLUMNS[1:] if name != "gear"}
         idx = np.clip(np.searchsorted(self.t, grid - 1e-12), 0, self.t.size - 1)
         kwargs["gear"] = self.gear[idx]
         return DynoLog(name=self.name, t=grid, **kwargs)
@@ -113,17 +100,17 @@ def fit_speed_regression(log: DynoLog) -> float:
     v = log.v_kph[mask]
     denom = float(np.dot(n, n))
     if denom <= 0:
-        raise NonPositiveSlope("output shaft speed is identically zero")
+        raise InsufficientData("output shaft speed is identically zero")
     slope = float(np.dot(v, n)) / denom
     if slope <= 0:
-        raise NonPositiveSlope(f"regression slope {slope:.3g} <= 0")
+        raise InsufficientData(f"regression slope {slope:.3g} <= 0")
     return slope
 
 
 def derive_speed(log: DynoLog, slope: float) -> np.ndarray:
     """Shaft-derived speed in m/s, floored at standstill."""
     if slope <= 0:
-        raise NonPositiveSlope(f"slope must be positive, got {slope}")
+        raise InsufficientData(f"slope must be positive, got {slope}")
     return np.maximum(0.0, slope * log.trans_out_rpm) * KPH_TO_MPS
 
 
@@ -148,7 +135,7 @@ def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray
         raise InvalidArgument("smoothing steps must be nonnegative")
     s = np.asarray(series, dtype=float).copy()
     if s.size < 3:
-        raise SeriesTooShort(f"need at least 3 samples, got {s.size}")
+        raise InsufficientData(f"need at least 3 samples, got {s.size}")
     for _ in range(steps):
         mirrored = np.pad(s, 1, mode="reflect")
         s = 0.5 * mu * (mirrored[:-2] + mirrored[2:]) + (1.0 - mu) * s
@@ -200,7 +187,7 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
     _check_mu(mu)  # also when the raw series already fits the bound
     smoothed = np.asarray(series, dtype=float).copy()
     if smoothed.size < 3:
-        raise SeriesTooShort(f"need at least 3 samples, got {smoothed.size}")
+        raise InsufficientData(f"need at least 3 samples, got {smoothed.size}")
     prev_max = None
     for n in range(max_steps + 1):
         if n > 0:
@@ -208,7 +195,7 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
         accel = derive_acceleration(smoothed, dt)
         cur = float(np.max(np.abs(accel)))
         if prev_max is not None and cur > prev_max + 1e-9:
-            raise SmoothingDiverged(
+            raise InsufficientData(
                 f"peak |a| rose from {prev_max:.6g} to {cur:.6g} at {n} steps")
         selection = SmoothingSelection(steps=n, smoothed=smoothed.copy(),
                                        accel=accel, max_abs_accel=cur)
@@ -230,7 +217,7 @@ def hot_engine_window(log: DynoLog, threshold: float = HOT_THRESHOLD_C) -> tuple
         return float(log.t[0]), float(log.t[-1])
     last_cold = below[-1]
     if last_cold == len(log) - 1:
-        raise NeverHot(f"water temperature never settles above {threshold} C")
+        raise InsufficientData(f"water temperature never settles above {threshold} C")
     return float(log.t[last_cold + 1]), float(log.t[-1])
 
 
@@ -267,7 +254,7 @@ def process_log(log: DynoLog, dt: float = DT, bound: float = ACCEL_BOUND,
                       engine_speed=uniform.engine_rpm / RADPS_TO_RPM,
                       engine_torque=uniform.engine_torque_nm, pedal=uniform.pedal_pct,
                       fuel=uniform.fuel_gps)
-    except (InvalidArgument, InvalidDt):
+    except InvalidArgument:
         raise
     except VcdFuelError as exc:
         # same class and attributes (BoundNotReached.best); the checks of a

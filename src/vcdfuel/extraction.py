@@ -12,20 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .drive_cycles import DriveCycle
-from .errors import (
-    DegreeTooHigh,
-    InsufficientGearData,
-    InvalidArgument,
-    NoDownshiftData,
-    NoFirstGearData,
-    NoFuelCutData,
-    NoIdleData,
-    RankDeficient,
-)
+from .errors import InsufficientData, InsufficientGearData, InvalidArgument
 from .jsonio import from_doc, to_doc
 from .powertrain import (
     STANDSTILL_SPEED,
@@ -94,8 +86,11 @@ class VcdDataset:
         return cls(params=params, traces=traces,
                    events=[ev for tr in traces for ev in detect_shift_events(tr)])
 
+    @cached_property
     def stacked(self) -> dict[str, np.ndarray]:
-        """All traces concatenated per column, with derived driveline inputs.
+        """All traces concatenated per column, with derived driveline inputs;
+        built on first use and kept until deleted, so the traces must not
+        change meanwhile.
 
         A trace without flags (a rig recording) reads as all zeros; a trace
         without any other column raises InsufficientData naming it.
@@ -188,7 +183,7 @@ def extract_idle_constants(ds: VcdDataset) -> tuple[float, float]:
     torques = np.concatenate(torques)
     fuels = np.concatenate(fuels)
     if torques.size == 0:
-        raise NoIdleData("no settled standstill steps in any trace")
+        raise InsufficientData("no settled standstill steps in any trace")
     return float(torques.mean()), float(fuels.mean())
 
 
@@ -198,10 +193,10 @@ def extract_fuel_cut_thresholds(ds: VcdDataset) -> tuple[float, float]:
     Over all zero-fuel moving steps: cut speed is the 1st percentile of
     speed, cut force the 95th percentile of wheel force.
     """
-    cols = ds.stacked()
+    cols = ds.stacked
     cut = (cols["fuel"] == 0.0) & (cols["v"] >= STANDSTILL_SPEED)
     if not np.any(cut):
-        raise NoFuelCutData("no zero-fuel moving steps in the dataset")
+        raise InsufficientData("no zero-fuel moving steps in the dataset")
     v_c = percentile(cols["v"][cut], CUT_SPEED_PERCENTILE)
     f_wc = percentile(cols["wheel_force"][cut], CUT_FORCE_PERCENTILE)
     return v_c, f_wc
@@ -214,7 +209,7 @@ def extract_downshift_map(ds: VcdDataset) -> tuple[np.ndarray, tuple]:
     cutoff 0. Transitions never observed are filled by interpolating over
     gear index between observed neighbors and reported back. A cutoff that
     does not come out above the gear below (an unobserved top gear, which
-    interpolation can only hold flat) raises NoDownshiftData naming it.
+    interpolation can only hold flat) raises InsufficientData naming it.
     """
     n_gears = ds.params.n_gears
     cutoffs = np.full(n_gears, np.nan)
@@ -224,7 +219,7 @@ def extract_downshift_map(ds: VcdDataset) -> tuple[np.ndarray, tuple]:
         if speeds:
             cutoffs[k - 1] = float(np.median(speeds))
     if np.all(np.isnan(cutoffs[1:])):
-        raise NoDownshiftData("no downshift events in the dataset")
+        raise InsufficientData("no downshift events in the dataset")
     missing = np.nonzero(np.isnan(cutoffs))[0]
     if missing.size:
         known = np.nonzero(~np.isnan(cutoffs))[0]
@@ -233,8 +228,8 @@ def extract_downshift_map(ds: VcdDataset) -> tuple[np.ndarray, tuple]:
     flat = [k + 1 for k in range(1, n_gears) if cutoffs[k] <= cutoffs[k - 1]]
     if flat:
         unseen = f" (no downshift seen from gear(s) {list(filled)})" if filled else ""
-        raise NoDownshiftData(f"cannot place the downshift cutoff of gear(s) {flat} "
-                              f"above the gear below{unseen}")
+        raise InsufficientData(f"cannot place the downshift cutoff of gear(s) {flat} "
+                               f"above the gear below{unseen}")
     return cutoffs, filled
 
 
@@ -248,12 +243,12 @@ def extract_torque_correction(ds: VcdDataset, predict_torque) -> tuple:
     (their torque reflects the cap, not converter behavior). Empty bins are
     omitted, so the returned knots interpolate across them.
     """
-    cols = ds.stacked()
+    cols = ds.stacked
     mask = (cols["gear"] == 1) & (cols["v"] >= STANDSTILL_SPEED) & \
            ((cols["flags"] & FLAG_ENVELOPE) == 0)
     v, a, grade = cols["v"][mask], cols["a"][mask], cols["grade"][mask]
     if v.size == 0:
-        raise NoFirstGearData("no moving first-gear steps in the dataset")
+        raise InsufficientData("no moving first-gear steps in the dataset")
     residual = cols["engine_torque"][mask] - np.asarray(predict_torque(v, a, grade), dtype=float)
 
     edges = np.linspace(*LAUNCH_ACCEL_RANGE, LAUNCH_BINS + 1)
@@ -345,20 +340,30 @@ def _shift_scale_matrix(deg: int, mean: float, std: float) -> np.ndarray:
     return m
 
 
+def lstsq(design, target, message: str) -> np.ndarray:
+    """Least-squares coefficients of ``design @ c = target``; InsufficientData
+    with ``message``, formatted with the design's ``rank`` and column count
+    ``n``, when the rank is below the column count."""
+    coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
+        raise InsufficientData(message.format(rank=rank, n=design.shape[1]))
+    return coeffs
+
+
 def fit_poly2d(xs, ys, zs, degree: tuple[int, int], domain=None) -> PolyMap2D:
     """Ordinary least squares on the tensor monomial basis.
 
     The map's validity box defaults to the bounding box of the fitted
     samples; pass ``domain`` to widen it (e.g. when some rows are kept out
     of the regression but still describe reachable inputs). Raises
-    DegreeTooHigh when d1 + d2 exceeds MAX_MAP_DEGREE and RankDeficient when the
+    InvalidArgument when d1 + d2 exceeds MAX_MAP_DEGREE and InsufficientData when the
     sample geometry cannot determine all coefficients.
     """
     d1, d2 = degree
     if d1 < 0 or d2 < 0:
         raise InvalidArgument(f"map degrees must be nonnegative, got {list(degree)}")
     if d1 + d2 > MAX_MAP_DEGREE:
-        raise DegreeTooHigh(f"total degree {d1 + d2} exceeds cap {MAX_MAP_DEGREE}")
+        raise InvalidArgument(f"total degree {d1 + d2} exceeds cap {MAX_MAP_DEGREE}")
     x = np.asarray(xs, dtype=float).ravel()
     y = np.asarray(ys, dtype=float).ravel()
     z = np.asarray(zs, dtype=float).ravel()
@@ -371,7 +376,7 @@ def fit_poly2d(xs, ys, zs, degree: tuple[int, int], domain=None) -> PolyMap2D:
             raise InvalidArgument(f"fit inputs must be finite, got {bad[0]} in {name}")
     n_coeffs = (d1 + 1) * (d2 + 1)
     if x.size < n_coeffs:
-        raise RankDeficient(f"{x.size} samples cannot determine {n_coeffs} coefficients")
+        raise InsufficientData(f"{x.size} samples cannot determine {n_coeffs} coefficients")
 
     x_mean, x_std = float(x.mean()), float(x.std())
     y_mean, y_std = float(y.mean()), float(y.std())
@@ -380,9 +385,7 @@ def fit_poly2d(xs, ys, zs, degree: tuple[int, int], domain=None) -> PolyMap2D:
     u = (x - x_mean) / x_std
     w = (y - y_mean) / y_std
     design = np.polynomial.polynomial.polyvander2d(u, w, [d1, d2])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
-    if rank < n_coeffs:
-        raise RankDeficient(f"design matrix rank {rank} < {n_coeffs} coefficients")
+    coeffs = lstsq(design, z, "design matrix rank {rank} < {n} coefficients")
     rms = float(np.sqrt(np.mean((design @ coeffs - z) ** 2)))
     if domain is None:
         domain = ((float(x.min()), float(x.max())), (float(y.min()), float(y.max())))
@@ -415,7 +418,7 @@ def fit_all_maps(ds: VcdDataset, min_torque: float, fuel_degree=FUEL_MAP_DEGREE,
     """
     if min_gear_samples < 1:
         raise InvalidArgument(f"min_gear_samples must be at least 1, got {min_gear_samples}")
-    cols = ds.stacked()
+    cols = ds.stacked
     idle = cols["v"] < STANDSTILL_SPEED
     cut = (cols["fuel"] == 0.0) & ~idle
 

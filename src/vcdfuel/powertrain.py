@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drive_cycles import DriveCycle, resample
-from .errors import GearOutOfRange, InvalidArgument
+from .errors import InvalidArgument
 from .jsonio import from_doc, read_json, to_doc, write_json
 from .trace import DT, FLAG_ENVELOPE, Trace
 
@@ -297,7 +297,7 @@ def wheel_force(params: VehicleParams, v, a, grade, gear):
     gear = np.asarray(gear)
     bad = (gear < 1) | (gear > params.n_gears)
     if np.any(bad):
-        raise GearOutOfRange(f"gear {np.unique(gear[bad]).tolist()} outside [1, {params.n_gears}]")
+        raise InvalidArgument(f"gear {np.unique(gear[bad]).tolist()} outside [1, {params.n_gears}]")
     return (params.gear_masses[gear - 1] * np.asarray(a, dtype=float)
             + road_load(params, v)
             + params.mass * GRAVITY * np.sin(grade))
@@ -351,6 +351,15 @@ def max_wheel_torque_by_gear(params: VehicleParams, maps: GearShiftMaps, v):
     return t
 
 
+def pedal_position(params: VehicleParams, force, t_wmax):
+    """Pedal [%] that demands wheel force ``force`` [N] against the peak wheel
+    torque ``t_wmax`` [Nm]: 100 F r / T_wmax clipped to [0, 100], and 0 where
+    T_wmax is not positive."""
+    out = np.zeros(np.broadcast_shapes(np.shape(force), np.shape(t_wmax)))
+    np.divide(100.0 * force * params.tire_radius, t_wmax, out=out, where=t_wmax > 0)
+    return np.clip(out, 0.0, 100.0)
+
+
 # --- simulation --------------------------------------------------------------
 
 def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float = DT) -> Trace:
@@ -374,9 +383,7 @@ def simulate(cycle: DriveCycle, vehicle: ReferenceVehicle, grade=0.0, dt: float 
     # every gear at once: wheel force and the pedal it implies, (n_gears, N)
     force_by_gear = wheel_force(p, v, a, theta, np.arange(1, p.n_gears + 1)[:, None])
     t_wmax = np.max(max_wheel_torque_by_gear(p, maps, v), axis=0)
-    pedal_by_gear = np.clip(np.divide(100.0 * force_by_gear * p.tire_radius, t_wmax,
-                                      out=np.zeros_like(force_by_gear), where=t_wmax > 0),
-                            0.0, 100.0)
+    pedal_by_gear = pedal_position(p, force_by_gear, t_wmax)
 
     # the one sequential part, the shift schedule: gear k shifts up when v
     # passes up[k-1], else down when v falls below down[k-1], both scaled by

@@ -47,6 +47,7 @@ from .powertrain import (
     max_wheel_torque_by_gear,
     params_from_dict,
     params_to_dict,
+    pedal_position,
     road_load,
     transmission_output_speed,
     wheel_force,
@@ -165,11 +166,7 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     # over all gears
     force_est = p.mass * a + road_load(p, v) + p.mass * GRAVITY * np.sin(grade)
     t_gear = max_wheel_torque_by_gear(p, model.shift_maps, v)
-    t_wmax = np.max(t_gear, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pedal = np.where(t_wmax > 0,
-                         100.0 * np.maximum(force_est, 0.0) * p.tire_radius / t_wmax, 0.0)
-    pedal = np.clip(pedal, 0.0, 100.0)
+    pedal = pedal_position(p, force_est, np.max(t_gear, axis=0))
 
     gear = select_gear_stateless(model, v, pedal)
     force = wheel_force(p, v, a, grade, gear)
@@ -255,6 +252,7 @@ def build_semi_model_from_dataset(ds: VcdDataset, shift_maps: GearShiftMaps,
     maps = fit_all_maps(ds, fuel_degree=fuel_degree, gear_degree=gear_degree,
                         min_gear_samples=min_gear_samples, min_torque=torque_floor,
                         launch_correction=correction)
+    vars(ds).pop("stacked", None)  # the fits above were its only readers; free it
     speed_max = float(max(tr.v.max() for tr in ds.traces))
     metadata = {
         "source_cycles": [tr.name for tr in ds.traces],

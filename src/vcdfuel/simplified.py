@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .errors import ConstraintInfeasible, InvalidArgument, RankDeficient
+from .errors import InsufficientData, InvalidArgument
+from .extraction import lstsq
 from .jsonio import field_value, from_doc, read_json, to_doc
 from .powertrain import STANDSTILL_SPEED, float_table
 from .semi_principled import SemiPrincipledModel, broadcast_inputs, evaluate
@@ -236,10 +237,7 @@ def fit_to_function(fuel_fn, cut_speed: float, beta: float, grid: FitGrid,
     # stage 2: C, P, Q by least squares on the grade-corrected fuel
     residual = fuel - npoly.polyval(vg, z) * gg
     design = _design_matrix(vg[include] / v_scale, ag[include], deg)
-    n_coeffs = design.shape[1]
-    coeffs, _, rank, _ = np.linalg.lstsq(design, residual[include], rcond=None)
-    if rank < n_coeffs:
-        raise RankDeficient(f"simplified-fit design rank {rank} < {n_coeffs}")
+    coeffs = lstsq(design, residual[include], "simplified-fit design rank {rank} < {n}")
     l2 = float(np.sqrt(np.mean((design @ coeffs - residual[include]) ** 2)))
     max_err = float(np.max(np.abs(design @ coeffs - residual[include])))
 
@@ -279,13 +277,11 @@ def _fit_grade_coefficient(v_ax, g_ax, fuel, include, degree, v_scale) -> np.nda
     iv, ip, ia = np.nonzero(np.swapaxes(include[:, :, lo] & include[:, :, hi], 1, 2))
     rows, starts = np.unique(iv, return_index=True)
     if rows.size < degree + 1:
-        raise RankDeficient(f"only {rows.size} grade-slope samples for degree {degree}")
+        raise InsufficientData(f"only {rows.size} grade-slope samples for degree {degree}")
     slopes = (fuel[iv, ia, hi[ip]] - fuel[iv, ia, lo[ip]]) / (g_ax[hi[ip]] - g_ax[lo[ip]])
     design = npoly.polyvander(v_ax[rows] / v_scale, degree)
     means = [np.mean(part) for part in np.split(slopes, starts[1:])]
-    coeffs, _, rank, _ = np.linalg.lstsq(design, np.array(means), rcond=None)
-    if rank < degree + 1:
-        raise RankDeficient("grade-slope sample geometry is degenerate")
+    coeffs = lstsq(design, np.array(means), "grade-slope sample geometry is degenerate")
     return coeffs / v_scale ** np.arange(coeffs.size)
 
 
@@ -303,13 +299,10 @@ def _fit_cut_boundary(v_ax, a_ax, g_ax, cut_cells, cut_speed) -> np.ndarray:
     iv, ig = np.nonzero(cut_cells.any(axis=1) & (v_ax > cut_speed)[:, None])
     bounds = a_ax[last_cut[iv, ig]] + half_step
     if bounds.size < len(CUT_BOUNDARY_TERMS):
-        raise RankDeficient(
+        raise InsufficientData(
             f"only {bounds.size} cut-boundary samples for {len(CUT_BOUNDARY_TERMS)} terms")
     design = npoly.polyvander2d(v_ax[iv], g_ax[ig], (2, 2))[:, CUT_BOUNDARY_COLUMNS]
-    coeffs, _, rank, _ = np.linalg.lstsq(design, bounds, rcond=None)
-    if rank < len(CUT_BOUNDARY_TERMS):
-        raise RankDeficient("cut-boundary sample geometry is degenerate")
-    return coeffs
+    return lstsq(design, bounds, "cut-boundary sample geometry is degenerate")
 
 
 def _enforce_positivity(model: SimplifiedModel) -> SimplifiedModel:
@@ -326,7 +319,7 @@ def _enforce_positivity(model: SimplifiedModel) -> SimplifiedModel:
                     diagnostics={**model.diagnostics, "positivity_shift": shift})
     check = float(np.min(fixed.positive_part(v, fixed.min_accel(v), 0.0)))
     if check <= 0:
-        raise ConstraintInfeasible("positivity projection failed to lift the minimum")
+        raise InsufficientData("positivity projection failed to lift the minimum")
     return fixed
 
 

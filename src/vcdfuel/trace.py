@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_columns, write_columns
-from .errors import InsufficientData, InvalidDt, MonotonicityError, ParseError
+from .errors import InsufficientData, InvalidArgument, ParseError
 
 RADPS_TO_RPM = 60.0 / (2.0 * np.pi)
 
@@ -53,7 +53,7 @@ class Trace:
                 val = ints
             setattr(self, col, val)
         if np.any(np.diff(self.t) <= 0):
-            raise MonotonicityError(f"{owner}: timestamps not strictly increasing")
+            raise ParseError(f"{owner}: timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return self.t.size
@@ -97,7 +97,7 @@ def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     """The grid t0, t0 + dt, t0 + 2 dt, ... up to t1, a 1e-9 step short
     counting as reaching it; dt must be finite and positive."""
     if not (np.isfinite(dt) and dt > 0):
-        raise InvalidDt(f"dt must be finite and positive, got {dt}")
+        raise InvalidArgument(f"dt must be finite and positive, got {dt}")
     n = int(np.floor((t1 - t0) / dt + 1e-9))
     return t0 + np.arange(n + 1) * dt
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import write_columns
-from .errors import InvalidArgument, LengthMismatch, NoOverlap, ZeroReference
+from .errors import InsufficientData, InvalidArgument
 from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
 
 
@@ -52,7 +52,7 @@ def align(ref: Trace, model: Trace, dt: float = DT) -> AlignedPair:
     t0 = max(ref.t[0], model.t[0])
     t1 = min(ref.t[-1], model.t[-1])
     if t0 > t1:
-        raise NoOverlap(f"traces '{ref.name}' and '{model.name}' share no time range")
+        raise InsufficientData(f"traces '{ref.name}' and '{model.name}' share no time range")
     grid = uniform_grid(t0, t1, dt)
     cols = [c for c in ("fuel", *_CHANNELS)
             if getattr(ref, c) is not None and getattr(model, c) is not None]
@@ -65,9 +65,9 @@ def mae(series_a, series_b) -> float:
     a = np.asarray(series_a, dtype=float)
     b = np.asarray(series_b, dtype=float)
     if a.size != b.size:
-        raise LengthMismatch(f"series lengths differ: {a.size} vs {b.size}")
+        raise InvalidArgument(f"series lengths differ: {a.size} vs {b.size}")
     if a.size == 0:
-        raise LengthMismatch("series must have at least one sample")
+        raise InvalidArgument("series must have at least one sample")
     return float(np.mean(np.abs(a - b)))
 
 
@@ -92,7 +92,7 @@ def cumulative_error_pct(ref: Trace, model: Trace) -> float:
 
 def _error_pct(total_ref: float, total_model: float) -> float:
     if total_ref <= 0:
-        raise ZeroReference("reference trace consumed no fuel")
+        raise InsufficientData("reference trace consumed no fuel")
     return 100.0 * abs(total_model - total_ref) / total_ref
 
 
@@ -101,9 +101,9 @@ def gear_metrics(ref_gears, model_gears) -> tuple[float, float]:
     a = np.asarray(ref_gears)
     b = np.asarray(model_gears)
     if a.size != b.size:
-        raise LengthMismatch(f"gear series lengths differ: {a.size} vs {b.size}")
+        raise InvalidArgument(f"gear series lengths differ: {a.size} vs {b.size}")
     if a.size == 0:
-        raise LengthMismatch("gear series must have at least one sample")
+        raise InvalidArgument("gear series must have at least one sample")
     diff = np.abs(a - b)
     return float(diff.mean()), float(100.0 * np.count_nonzero(diff) / a.size)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from vcdfuel.drive_cycles import DriveCycle, load_cycle, resample, save_cycle
 from vcdfuel.dyno import DynoLog
-from vcdfuel.errors import InvalidDt, MonotonicityError, ParseError, UnitError
+from vcdfuel.errors import InvalidArgument, ParseError
 from vcdfuel.trace import Trace, uniform_grid
 from vcdfuel.validation import align
 
@@ -42,17 +42,17 @@ class TestLoadCycle:
 
     def test_duplicate_timestamp(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", [(0, 0), (0, 5)])
-        with pytest.raises(MonotonicityError):
+        with pytest.raises(ParseError, match="^cycle 'c': timestamps not strictly increasing$"):
             load_cycle(path)
 
     def test_decreasing_time(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", [(0, 0), (2, 5), (1, 3)])
-        with pytest.raises(MonotonicityError):
+        with pytest.raises(ParseError, match="^cycle 'c': timestamps not strictly increasing$"):
             load_cycle(path)
 
     def test_unknown_unit(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", [(0, 0), (1, 1)])
-        with pytest.raises(UnitError):
+        with pytest.raises(InvalidArgument, match=r"^unknown unit 'furlongs' \(expected one "):
             load_cycle(path, unit="furlongs")
 
     def test_malformed_row(self, tmp_path):
@@ -130,9 +130,9 @@ class TestResample:
 
     def test_invalid_dt(self):
         cycle = DriveCycle("c", [0, 1], [0, 1])
-        with pytest.raises(InvalidDt):
+        with pytest.raises(InvalidArgument, match="^dt must be finite and positive, got 0.0$"):
             resample(cycle, 0.0)
-        with pytest.raises(InvalidDt):
+        with pytest.raises(InvalidArgument, match="^dt must be finite and positive, got -1.0$"):
             resample(cycle, -1.0)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -144,7 +144,7 @@ class TestResample:
         message = f"^dt must be finite and positive, got {dt}$"
         for make_grid in (lambda: resample(DriveCycle("c", t, [0, 1, 0]), dt),
                           lambda: log.resampled(dt), lambda: align(trace, trace, dt)):
-            with pytest.raises(InvalidDt, match=message):
+            with pytest.raises(InvalidArgument, match=message):
                 make_grid()
 
     @given(span=st.floats(0.0, 1e4), dt=st.floats(1e-3, 10.0))

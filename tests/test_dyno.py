@@ -22,10 +22,7 @@ from vcdfuel.errors import (
     BoundNotReached,
     InsufficientData,
     InvalidArgument,
-    NeverHot,
-    NonPositiveSlope,
     ParseError,
-    SeriesTooShort,
     VcdFuelError,
 )
 from vcdfuel.synthetic import builtin_cycles, cruise_cycle, default_vehicle, make_dyno_log
@@ -66,7 +63,7 @@ class TestSpeedRegression:
 
     def test_zero_shaft_speed_degenerate(self):
         log = make_log(np.arange(200.0), v_kph=np.full(200, 10.0))
-        with pytest.raises(NonPositiveSlope):
+        with pytest.raises(InsufficientData, match="^output shaft speed is identically zero$"):
             fit_speed_regression(log)
 
     def test_row_duplication_invariance(self):
@@ -97,7 +94,7 @@ class TestDeriveSpeed:
 
     def test_nonpositive_slope_rejected(self):
         log = make_log([0.0, 1.0], trans_out_rpm=[1.0, 2.0])
-        with pytest.raises(NonPositiveSlope):
+        with pytest.raises(InsufficientData, match="^slope must be positive, got 0.0$"):
             derive_speed(log, 0.0)
 
 
@@ -131,7 +128,7 @@ class TestSmoothSpeed:
         assert out[-1] == (1 - 0.7) * before[-1] + 0.7 * before[-2]
 
     def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(InsufficientData, match="^need at least 3 samples, got 2$"):
             smooth_speed([1.0, 2.0], steps=1)
 
     def test_mu_range_validated(self):
@@ -254,7 +251,8 @@ class TestHotEngineWindow:
 
     def test_never_hot(self):
         log = make_log(np.arange(50.0), water_temp_c=np.full(50, 60.0))
-        with pytest.raises(NeverHot):
+        with pytest.raises(InsufficientData,
+                           match="^water temperature never settles above 85.0 C$"):
             hot_engine_window(log, 85.0)
 
     def test_dip_after_warm_moves_start(self):
@@ -339,7 +337,8 @@ class TestRigTraceOracle:
         log = make_dyno_log(builtin_cycles()[name], default_vehicle(), seed=2024, warmup=warmup)
         if (name, warmup) == ("aggressive", True):
             # too short to warm up past the 85 C threshold
-            with pytest.raises(NeverHot):
+            with pytest.raises(InsufficientData, match=f"^dyno log '{log.name}': water "
+                                                       "temperature never settles above 85.0 C$"):
                 process_log(log)
             return
         profile = process_log(log)

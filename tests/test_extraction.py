@@ -3,18 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from vcdfuel import extraction
 from vcdfuel.drive_cycles import DriveCycle
 from vcdfuel.dyno import process_log
-from vcdfuel.errors import (
-    DegreeTooHigh,
-    InsufficientData,
-    InsufficientGearData,
-    InvalidArgument,
-    NoDownshiftData,
-    NoFuelCutData,
-    NoIdleData,
-    RankDeficient,
-)
+from vcdfuel.errors import InsufficientData, InsufficientGearData, InvalidArgument
 from vcdfuel.extraction import (
     LAUNCH_BINS,
     ShiftEvent,
@@ -91,7 +83,7 @@ class TestIdleConstants:
     def test_no_idle_data(self, vehicle):
         cycle = DriveCycle("moving", [0, 10, 100, 110], [5.0, 12.0, 12.0, 5.0])
         ds = run_vcd(vehicle, [cycle])
-        with pytest.raises(NoIdleData):
+        with pytest.raises(InsufficientData, match="^no settled standstill steps in any trace$"):
             extract_idle_constants(ds)
 
     def test_segment_lengths_do_not_matter_for_constant_fuel(self, vehicle):
@@ -122,7 +114,7 @@ class TestFuelCutThresholds:
 
     def test_no_cut_data(self, vehicle):
         ds = run_vcd(vehicle, [DriveCycle("gentle", [0, 30, 120], [0.0, 10.0, 10.0])])
-        with pytest.raises(NoFuelCutData):
+        with pytest.raises(InsufficientData, match="^no zero-fuel moving steps in the dataset$"):
             extract_fuel_cut_thresholds(ds)
 
 
@@ -153,18 +145,19 @@ class TestDownshiftMap:
 
     def test_no_downshift_data(self, vehicle):
         events = [ShiftEvent("c", 1, 1, 2, 5.0, 0.0)]
-        with pytest.raises(NoDownshiftData):
+        with pytest.raises(InsufficientData, match="^no downshift events in the dataset$"):
             extract_downshift_map(synthetic_dataset(vehicle.params, events))
 
     def test_unobserved_top_gear_cannot_be_placed(self, vehicle):
         # interpolation can only hold the highest observed cutoff flat
         events = [ShiftEvent("c", k, k, k - 1, 3.0 * k, 0.0) for k in range(2, 6)]
-        with pytest.raises(NoDownshiftData, match=r"gear\(s\) \[6\] above the gear below "
-                                                  r"\(no downshift seen from gear\(s\) \[6\]\)"):
+        with pytest.raises(InsufficientData, match=r"gear\(s\) \[6\] above the gear below "
+                                                   r"\(no downshift seen from gear\(s\) \[6\]\)"):
             extract_downshift_map(synthetic_dataset(vehicle.params, events))
 
     def test_urban_cycle_alone_names_top_gear(self, vehicle):
-        with pytest.raises(NoDownshiftData, match=r"\[6\]"):
+        with pytest.raises(InsufficientData, match=r"^cannot place the downshift cutoff of "
+                                                   r"gear\(s\) \[6\]"):
             extract_downshift_map(run_vcd(vehicle, [urban_cycle()], dt=0.1))
 
     def test_cutoffs_inside_hysteresis_bands(self, vehicle, dataset):
@@ -247,17 +240,17 @@ class TestFitPoly2d:
     def test_collinear_points_rank_deficient(self):
         x = np.array([0.0, 1.0, 2.0])
         y = x.copy()
-        with pytest.raises(RankDeficient):
+        with pytest.raises(InsufficientData, match="^3 samples cannot determine 4 coefficients$"):
             fit_poly2d(x, y, x + y, (1, 1))
 
     def test_many_collinear_points_rank_deficient(self):
         x = np.linspace(0, 5, 40)
-        with pytest.raises(RankDeficient):
+        with pytest.raises(InsufficientData, match="^design matrix rank 3 < 4 coefficients$"):
             fit_poly2d(x, 2 * x + 1, x, (1, 1))
 
     def test_degree_cap(self):
         x = np.linspace(0, 1, 50)
-        with pytest.raises(DegreeTooHigh):
+        with pytest.raises(InvalidArgument, match="^total degree 5 exceeds cap 4$"):
             fit_poly2d(x, x ** 2, x, (3, 2))
 
     def test_residual_nonincreasing_in_degree(self):
@@ -374,7 +367,20 @@ class TestStacked:
                 m = tr.gear == k
                 force[m] = wheel_force(p, tr.v[m], tr.a[m], tr.grade[m], k)
             expected.append(force)
-        assert np.array_equal(dataset.stacked()["wheel_force"], np.concatenate(expected))
+        assert np.array_equal(dataset.stacked["wheel_force"], np.concatenate(expected))
+
+    def test_built_once_per_model_build(self, vehicle, dataset, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return wheel_force(*args)
+
+        monkeypatch.setattr(extraction, "wheel_force", counting)
+        ds = VcdDataset(params=dataset.params, traces=dataset.traces, events=dataset.events)
+        build_semi_model_from_dataset(ds, vehicle.shift_maps)
+        assert len(calls) == 1
+        assert "stacked" not in vars(ds)  # freed once the fits are done
 
 
 class TestFuelCutConstantSample:
@@ -403,7 +409,7 @@ class TestRigTraces:
 
     def test_missing_flags_read_as_zeros(self, vehicle, rig_trace):
         assert rig_trace.flags is None
-        cols = VcdDataset(params=vehicle.params, traces=[rig_trace]).stacked()
+        cols = VcdDataset(params=vehicle.params, traces=[rig_trace]).stacked
         assert cols["flags"].dtype.kind == "i" and cols["flags"].size == len(rig_trace)
         assert not cols["flags"].any()
 

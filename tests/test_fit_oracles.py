@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vcdfuel import simplified, validation
-from vcdfuel.errors import RankDeficient
+from vcdfuel.errors import InsufficientData
 from vcdfuel.simplified import (
     CUT_BOUNDARY_TERMS,
     FitGrid,
@@ -43,11 +43,11 @@ def loop_fit_grade_coefficient(v_ax, g_ax, fuel, include, degree, v_scale):
             vs.append(v)
             slopes.append(float(np.mean(acc)))
     if len(vs) < degree + 1:
-        raise RankDeficient(f"only {len(vs)} grade-slope samples for degree {degree}")
+        raise InsufficientData(f"only {len(vs)} grade-slope samples for degree {degree}")
     design = npoly.polyvander(np.array(vs) / v_scale, degree)
     coeffs, _, rank, _ = np.linalg.lstsq(design, np.array(slopes), rcond=None)
     if rank < degree + 1:
-        raise RankDeficient("grade-slope sample geometry is degenerate")
+        raise InsufficientData("grade-slope sample geometry is degenerate")
     return coeffs / v_scale ** np.arange(coeffs.size)
 
 
@@ -64,14 +64,14 @@ def loop_fit_cut_boundary(v_ax, a_ax, g_ax, cut_cells, cut_speed):
                 vs.append(v)
                 gs.append(g)
     if len(bounds) < len(CUT_BOUNDARY_TERMS):
-        raise RankDeficient(
+        raise InsufficientData(
             f"only {len(bounds)} cut-boundary samples for {len(CUT_BOUNDARY_TERMS)} terms")
     vs = np.array(vs)
     gs = np.array(gs)
     design = np.column_stack([vs ** i * gs ** j for i, j in CUT_BOUNDARY_TERMS])
     coeffs, _, rank, _ = np.linalg.lstsq(design, np.array(bounds), rcond=None)
     if rank < len(CUT_BOUNDARY_TERMS):
-        raise RankDeficient("cut-boundary sample geometry is degenerate")
+        raise InsufficientData("cut-boundary sample geometry is degenerate")
     return coeffs
 
 
@@ -105,7 +105,7 @@ def outcome(fn, *args):
     """The coefficients' bytes, or the type and message of the error raised."""
     try:
         return np.asarray(fn(*args)).tobytes()
-    except RankDeficient as exc:
+    except InsufficientData as exc:
         return type(exc), str(exc)
 
 
@@ -133,10 +133,10 @@ class TestFitOracle:
     def test_asymmetric_grade_range_same_error(self, semi_model, loop_fit):
         grid = FitGrid(v_range=(0.0, semi_model.speed_max), a_range=(-1.0, 2.5),
                        grade_range=(-0.05, 0.12))
-        with pytest.raises(RankDeficient) as got:
+        with pytest.raises(InsufficientData) as got:
             fit_simplified(semi_model, grid)
         loop_fit()
-        with pytest.raises(RankDeficient) as want:
+        with pytest.raises(InsufficientData) as want:
             fit_simplified(semi_model, grid)
         assert str(got.value) == str(want.value) == "only 0 grade-slope samples for degree 1"
 
@@ -147,14 +147,14 @@ class TestFitOracle:
         vg, ag, gg = np.meshgrid(v_ax, a_ax, g_ax, indexing="ij")
         fuel = 0.5 + 0.02 * vg + 0.3 * ag * ag + 2.0 * gg
         no_cut = np.zeros(fuel.shape, dtype=bool)
-        message = (RankDeficient, "only 0 cut-boundary samples for 6 terms")
+        message = (InsufficientData, "only 0 cut-boundary samples for 6 terms")
         assert outcome(simplified._fit_cut_boundary, v_ax, a_ax, g_ax, no_cut, 5.0) == message
         assert outcome(loop_fit_cut_boundary, v_ax, a_ax, g_ax, no_cut, 5.0) == message
         everywhere = np.ones(fuel.shape, dtype=bool)
         args = (v_ax, g_ax, fuel, everywhere, 1, 30.0)
         assert outcome(simplified._fit_grade_coefficient, *args) == \
             outcome(loop_fit_grade_coefficient, *args)
-        with pytest.raises(RankDeficient, match="^only 0 cut-boundary samples for 6 terms$"):
+        with pytest.raises(InsufficientData, match="^only 0 cut-boundary samples for 6 terms$"):
             fit_to_function(lambda v, a, g: 0.5 + 0.02 * v + 0.3 * a * a + 2.0 * g,
                             cut_speed=5.0, beta=0.1, grid=grid)
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcdfuel.drive_cycles import DriveCycle, resample
-from vcdfuel.errors import GearOutOfRange, InvalidArgument
+from vcdfuel.errors import InvalidArgument
 from vcdfuel.powertrain import (
     GRAVITY,
     STANDSTILL_SPEED,
@@ -82,13 +82,14 @@ class TestWheelForce:
         assert up - down == pytest.approx(2 * params.mass * GRAVITY * np.sin(grade))
 
     def test_gear_out_of_range(self, params):
-        with pytest.raises(GearOutOfRange):
+        top = params.n_gears
+        with pytest.raises(InvalidArgument, match=rf"^gear \[0\] outside \[1, {top}\]$"):
             wheel_force(params, 10.0, 0.0, 0.0, 0)
-        with pytest.raises(GearOutOfRange):
-            wheel_force(params, 10.0, 0.0, 0.0, params.n_gears + 1)
+        with pytest.raises(InvalidArgument, match=rf"^gear \[{top + 1}\] outside \[1, {top}\]$"):
+            wheel_force(params, 10.0, 0.0, 0.0, top + 1)
         # a gear array: the message names the bad values, not the array
         gears = np.array([1, 0, 2, params.n_gears + 1, 0])
-        with pytest.raises(GearOutOfRange,
+        with pytest.raises(InvalidArgument,
                            match=rf"^gear \[0, {params.n_gears + 1}\] outside \[1, "):
             wheel_force(params, np.full(5, 10.0), 0.0, 0.0, gears)
 
