@@ -14,7 +14,7 @@ import numpy as np
 
 from .csvio import read_columns, write_columns
 from .errors import InvalidArgument, ParseError
-from .trace import checked_columns, uniform_grid
+from .trace import checked_columns, sample_columns, uniform_grid
 
 # factors converting the named unit TO m/s
 UNIT_FACTORS = {
@@ -90,5 +90,4 @@ def resample(cycle: DriveCycle, dt: float) -> DriveCycle:
     grid = uniform_grid(0.0, cycle.duration, dt)
     if grid[-1] < cycle.duration - 1e-9:
         grid = np.append(grid, cycle.duration)
-    v = np.interp(grid, cycle.t, cycle.v)
-    return DriveCycle(name=cycle.name, t=grid, v=v)
+    return DriveCycle(name=cycle.name, t=grid, **sample_columns(cycle.t, grid, {"v": cycle.v}))

@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .csvio import read_columns, write_columns
+from .drive_cycles import UNIT_FACTORS
 from .errors import BoundNotReached, InsufficientData, InvalidArgument, ParseError, VcdFuelError
 from .extraction import percentile
-from .trace import DT, RADPS_TO_RPM, Trace, checked_columns, uniform_grid
-
-KPH_TO_MPS = 1.0 / 3.6
+from .trace import DT, RADPS_TO_RPM, Trace, checked_columns, sample_columns, uniform_grid
 
 ACCEL_BOUND = 4.0          # m/s2, acceptable acceleration magnitude
 CLIP_FRACTION = 0.05       # winsorize tails of the acceleration distribution
@@ -31,6 +30,10 @@ HOT_THRESHOLD_C = 85.0
 
 DYNO_COLUMNS = ("t", "v_kph", "engine_rpm", "engine_torque_nm", "pedal_pct",
                 "fuel_gps", "water_temp_c", "gear", "trans_out_rpm")
+# logged channels a rig trace carries: trace column -> (dyno channel, dyno units per trace unit)
+RIG_CHANNELS = {"gear": ("gear", 1.0), "engine_speed": ("engine_rpm", RADPS_TO_RPM),
+                "engine_torque": ("engine_torque_nm", 1.0), "pedal": ("pedal_pct", 1.0),
+                "fuel": ("fuel_gps", 1.0)}
 
 
 @dataclass
@@ -67,14 +70,11 @@ class DynoLog:
         return DynoLog(name=self.name, **kwargs)
 
     def resampled(self, dt: float) -> "DynoLog":
-        """Uniform grid via linear interpolation; gear is that of the first
-        sample at or after each grid time."""
+        """The channels on a uniform grid by `sample_columns`: gear from the
+        nearest sample, every other channel linearly interpolated."""
         grid = uniform_grid(self.t[0], self.t[-1], dt)
-        kwargs = {name: np.interp(grid, self.t, getattr(self, name))
-                  for name in DYNO_COLUMNS[1:] if name != "gear"}
-        idx = np.clip(np.searchsorted(self.t, grid - 1e-12), 0, self.t.size - 1)
-        kwargs["gear"] = self.gear[idx]
-        return DynoLog(name=self.name, t=grid, **kwargs)
+        channels = {name: getattr(self, name) for name in DYNO_COLUMNS[1:]}
+        return DynoLog(name=self.name, t=grid, **sample_columns(self.t, grid, channels))
 
 
 def read_dyno_csv(path) -> DynoLog:
@@ -111,7 +111,7 @@ def derive_speed(log: DynoLog, slope: float) -> np.ndarray:
     """Shaft-derived speed in m/s, floored at standstill."""
     if slope <= 0:
         raise InsufficientData(f"slope must be positive, got {slope}")
-    return np.maximum(0.0, slope * log.trans_out_rpm) * KPH_TO_MPS
+    return np.maximum(0.0, slope * log.trans_out_rpm) * UNIT_FACTORS["kph"]
 
 
 # --- smoothing and differentiation --------------------------------------------
@@ -216,9 +216,11 @@ def hot_engine_window(log: DynoLog, threshold: float = HOT_THRESHOLD_C) -> tuple
     if below.size == 0:
         return float(log.t[0]), float(log.t[-1])
     last_cold = below[-1]
-    if last_cold == len(log) - 1:
+    # strictly after the last cold time: `window` keeps every row stamped t_start
+    first_hot = np.searchsorted(log.t, log.t[last_cold], side="right")
+    if first_hot == len(log):
         raise InsufficientData(f"water temperature never settles above {threshold} C")
-    return float(log.t[last_cold + 1]), float(log.t[-1])
+    return float(log.t[first_hot]), float(log.t[-1])
 
 
 # --- full pipeline ------------------------------------------------------------
@@ -250,10 +252,8 @@ def process_log(log: DynoLog, dt: float = DT, bound: float = ACCEL_BOUND,
         selection = auto_select_smoothing(v_derived, dt, bound=bound, mu=mu, max_steps=max_steps)
         accel = clip_outliers(selection.accel, clip_fraction)
         trace = Trace(name=log.name, t=uniform.t, v=selection.smoothed, a=accel,
-                      grade=np.zeros_like(uniform.t), gear=uniform.gear,
-                      engine_speed=uniform.engine_rpm / RADPS_TO_RPM,
-                      engine_torque=uniform.engine_torque_nm, pedal=uniform.pedal_pct,
-                      fuel=uniform.fuel_gps)
+                      grade=np.zeros_like(uniform.t),
+                      **{c: getattr(uniform, ch) / unit for c, (ch, unit) in RIG_CHANNELS.items()})
     except InvalidArgument:
         raise
     except VcdFuelError as exc:

@@ -257,9 +257,6 @@ def build_semi_model_from_dataset(ds: VcdDataset, shift_maps: GearShiftMaps,
     metadata = {
         "source_cycles": [tr.name for tr in ds.traces],
         "dt": dt,
-        "fuel_map_rms": maps.fuel_map.rms_residual,
-        "engine_speed_map_rms": [m.rms_residual for m in maps.engine_speed_maps],
-        "torque_map_rms": [m.rms_residual for m in maps.torque_maps],
     }
     return SemiPrincipledModel(params=p, constants=constants, fuel_map=maps.fuel_map,
                                engine_speed_maps=tuple(maps.engine_speed_maps),

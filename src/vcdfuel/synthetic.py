@@ -19,10 +19,9 @@ from importlib.resources import files
 import numpy as np
 
 from .drive_cycles import DriveCycle, load_cycle
-from .dyno import HOT_THRESHOLD_C, DynoLog
+from .dyno import HOT_THRESHOLD_C, RIG_CHANNELS, DynoLog
 from .errors import InvalidArgument
 from .powertrain import ReferenceVehicle, load_vehicle, simulate
-from .trace import RADPS_TO_RPM
 
 # regression slope of the synthetic rig's speed channel, km/h per rpm
 DYNO_SLOPE_KPH_PER_RPM = 0.0398
@@ -61,20 +60,6 @@ def cruise_cycle() -> DriveCycle:
     straight past it.
     """
     return builtin_cycle("cruise")
-
-
-def urban_cycle() -> DriveCycle:
-    """Stop-and-go pattern with frequent idling and low-gear work."""
-    return builtin_cycle("urban")
-
-
-def aggressive_cycle() -> DriveCycle:
-    """High-acceleration profile: hard tapered launches and hard braking.
-
-    Launch acceleration tapers with speed the way a power-limited vehicle
-    does, instead of holding a constant pull into the torque envelope.
-    """
-    return builtin_cycle("aggressive")
 
 
 def builtin_cycles() -> dict[str, DriveCycle]:
@@ -119,11 +104,7 @@ def make_dyno_log(cycle: DriveCycle, vehicle: ReferenceVehicle, seed: int = DYNO
         name=f"{cycle.name}_dyno",
         t=trace.t,
         v_kph=np.round(v_kph),
-        engine_rpm=trace.engine_speed * RADPS_TO_RPM,
-        engine_torque_nm=trace.engine_torque,
-        pedal_pct=trace.pedal,
-        fuel_gps=trace.fuel,
         water_temp_c=temp,
-        gear=trace.gear,
         trans_out_rpm=shaft_rpm,
+        **{ch: getattr(trace, col) * unit for col, (ch, unit) in RIG_CHANNELS.items()},
     )

@@ -26,6 +26,8 @@ FLAG_ENVELOPE = 1    # demanded torque clamped to the engine envelope
 FLAG_CLAMPED = 2     # model input clamped to its fitted/defined domain
 FLAG_FLOOR = 4       # demanded torque lifted to the minimum-torque floor
 
+INT_COLUMNS = ("gear", "flags")  # held as integers, never blended between samples
+
 
 @dataclass
 class Trace:
@@ -45,7 +47,7 @@ class Trace:
         owner = f"trace '{self.name}'"
         cols = checked_columns(owner, t=self.t, **{c: getattr(self, c) for c in self.columns()})
         for col, val in cols.items():
-            if col in ("gear", "flags"):
+            if col in INT_COLUMNS:
                 with np.errstate(invalid="ignore"):  # out-of-range values fail the test below
                     ints = val.astype(int)
                 if np.any(ints != val):
@@ -100,6 +102,15 @@ def uniform_grid(t0: float, t1: float, dt: float) -> np.ndarray:
         raise InvalidArgument(f"dt must be finite and positive, got {dt}")
     n = int(np.floor((t1 - t0) / dt + 1e-9))
     return t0 + np.arange(n + 1) * dt
+
+
+def sample_columns(t, grid, columns: dict) -> dict[str, np.ndarray]:
+    """``columns``, sampled at the times ``t``, read at the ``grid`` times:
+    gear and flags take the nearest sample, the earlier one on a tie, and
+    every other column is linearly interpolated."""
+    nearest = np.searchsorted(0.5 * (t[:-1] + t[1:]), grid)
+    return {col: src[nearest] if col in INT_COLUMNS else np.interp(grid, t, src)
+            for col, src in columns.items()}
 
 
 def write_trace_csv(trace: Trace, path) -> None:

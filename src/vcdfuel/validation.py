@@ -19,11 +19,12 @@ import numpy as np
 
 from .csvio import write_columns
 from .errors import InsufficientData, InvalidArgument
-from .trace import DT, RADPS_TO_RPM, Trace, uniform_grid
+from .trace import DT, RADPS_TO_RPM, Trace, sample_columns, uniform_grid
 
 
 @dataclass
 class AlignedPair:
+    # ref and model hold the same columns, those both traces carry
     t: np.ndarray
     ref: dict[str, np.ndarray]
     model: dict[str, np.ndarray]
@@ -35,20 +36,9 @@ _CHANNELS = {"gear": "gear", "engine_speed": "engine_speed_radps",
              "engine_torque": "engine_torque_nm", "pedal": "pedal_pct", "flags": "flags"}
 
 
-def _interp_columns(trace: Trace, grid: np.ndarray, cols) -> dict[str, np.ndarray]:
-    # integer columns (gear, flags) take the nearest sample, never an
-    # interpolated blend
-    nearest = np.searchsorted(0.5 * (trace.t[:-1] + trace.t[1:]), grid)
-    out = {}
-    for col in cols:
-        src = getattr(trace, col)
-        out[col] = src[nearest] if src.dtype.kind == "i" else np.interp(grid, trace.t, src)
-    return out
-
-
 def align(ref: Trace, model: Trace, dt: float = DT) -> AlignedPair:
-    """Interpolate the compared columns both traces carry onto the uniform
-    grid covering their overlap."""
+    """The compared columns both traces carry, sampled by `sample_columns`
+    onto the uniform grid covering their overlap."""
     t0 = max(ref.t[0], model.t[0])
     t1 = min(ref.t[-1], model.t[-1])
     if t0 > t1:
@@ -56,8 +46,8 @@ def align(ref: Trace, model: Trace, dt: float = DT) -> AlignedPair:
     grid = uniform_grid(t0, t1, dt)
     cols = [c for c in ("fuel", *_CHANNELS)
             if getattr(ref, c) is not None and getattr(model, c) is not None]
-    return AlignedPair(t=grid, ref=_interp_columns(ref, grid, cols),
-                       model=_interp_columns(model, grid, cols))
+    sampled = [sample_columns(tr.t, grid, {c: getattr(tr, c) for c in cols}) for tr in (ref, model)]
+    return AlignedPair(grid, *sampled)
 
 
 def mae(series_a, series_b) -> float:
@@ -166,14 +156,14 @@ def _pair_metrics(cycle: str, ref: Trace, model: Trace, pair: AlignedPair,
         cumulative_fuel_model_g=total_model,
         cumulative_error_pct=_error_pct(total_ref, total_model),
     )
-    if "engine_speed" in pair.ref and "engine_speed" in pair.model:
+    if "engine_speed" in pair.ref:
         rec.mae_engine_speed_rpm = mae(pair.ref["engine_speed"] * RADPS_TO_RPM,
                                        pair.model["engine_speed"] * RADPS_TO_RPM)
-    if "engine_torque" in pair.ref and "engine_torque" in pair.model:
+    if "engine_torque" in pair.ref:
         rec.mae_engine_torque_nm = mae(pair.ref["engine_torque"], pair.model["engine_torque"])
-    if "pedal" in pair.ref and "pedal" in pair.model:
+    if "pedal" in pair.ref:
         rec.mae_pedal_pct = mae(pair.ref["pedal"], pair.model["pedal"])
-    if "gear" in pair.ref and "gear" in pair.model:
+    if "gear" in pair.ref:
         rec.mae_gear, rec.gear_mismatch_pct = gear_metrics(pair.ref["gear"], pair.model["gear"])
     return rec
 
@@ -187,7 +177,7 @@ def write_comparison_csv(pair: AlignedPair, path) -> None:
             "fuel_ref_gps": pair.ref["fuel"], "fuel_model_gps": pair.model["fuel"],
             "cumfuel_ref_g": cum_ref, "cumfuel_model_g": cum_model}
     for key, label in _CHANNELS.items():
-        if key in pair.ref and key in pair.model:
+        if key in pair.ref:
             cols[f"{label}_ref"] = pair.ref[key]
             cols[f"{label}_model"] = pair.model[key]
     write_columns(path, cols, "%.10g")

@@ -41,12 +41,11 @@ from vcdfuel.simplified import (
     load_simplified,
 )
 from vcdfuel.synthetic import (
-    aggressive_cycle,
+    builtin_cycle,
     builtin_cycles,
     cruise_cycle,
     default_vehicle,
     make_dyno_log,
-    urban_cycle,
 )
 from vcdfuel.trace import read_trace_csv, write_trace_csv
 from vcdfuel.validation import align, build_report, compare_pair, cumulative_fuel
@@ -340,7 +339,7 @@ class TestBadInputsExit1:
         assert not (out / downstream).exists()
 
     def test_urban_only_cycle_set_names_top_gear(self, tmp_path, capsys):
-        save_cycle(urban_cycle(), tmp_path / "urban.csv")
+        save_cycle(builtin_cycle("urban"), tmp_path / "urban.csv")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cycles": [str(tmp_path / "urban.csv")]}))
         out = tmp_path / "out"
@@ -389,7 +388,7 @@ class TestBadInputsExit1:
     def test_two_cycles_with_one_name(self, tmp_path, capsys):
         for sub in ("a", "b"):
             (tmp_path / sub).mkdir()
-            save_cycle(urban_cycle(), tmp_path / sub / "urban.csv")
+            save_cycle(builtin_cycle("urban"), tmp_path / sub / "urban.csv")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cycles": [str(tmp_path / sub / "urban.csv")
                                               for sub in ("a", "b")]}))
@@ -398,7 +397,7 @@ class TestBadInputsExit1:
 
     def test_rig_log_named_like_a_cycle(self, tmp_path, capsys):
         (tmp_path / "rig").mkdir()
-        for name, cycle in (("cruise", cruise_cycle()), ("urban", urban_cycle())):
+        for name, cycle in (("cruise", cruise_cycle()), ("urban", builtin_cycle("urban"))):
             save_cycle(cycle, tmp_path / f"{name}.csv")
         write_dyno_csv(make_dyno_log(cruise_cycle(), default_vehicle(), seed=5),
                        tmp_path / "rig" / "cruise.csv")
@@ -429,7 +428,8 @@ class TestBadInputsExit1:
         # lasts 115 s, so with warm-up its log never settles
         write_dyno_csv(make_dyno_log(cruise_cycle(), default_vehicle(), seed=5),
                        tmp_path / "zeta.csv")
-        write_dyno_csv(make_dyno_log(aggressive_cycle(), default_vehicle()), tmp_path / "cold.csv")
+        write_dyno_csv(make_dyno_log(builtin_cycle("aggressive"), default_vehicle()),
+                       tmp_path / "cold.csv")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dyno_logs": [str(tmp_path / "zeta.csv"),
                                                  str(tmp_path / "cold.csv")]}))

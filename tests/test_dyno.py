@@ -26,7 +26,8 @@ from vcdfuel.errors import (
     VcdFuelError,
 )
 from vcdfuel.synthetic import builtin_cycles, cruise_cycle, default_vehicle, make_dyno_log
-from vcdfuel.trace import RADPS_TO_RPM, Trace
+from vcdfuel.trace import RADPS_TO_RPM, Trace, sample_columns
+from vcdfuel.validation import align
 
 TRACE_COLUMNS = ("t", "v", "a", "grade", "gear", "engine_speed", "engine_torque", "pedal",
                  "fuel", "flags")
@@ -261,6 +262,17 @@ class TestHotEngineWindow:
         log = make_log(t, water_temp_c=temp)
         assert hot_engine_window(log, 85.0)[0] == 3.0
 
+    def test_repeated_timestamp_of_last_cold_sample(self):
+        log = make_log([0, 1, 2, 2, 3, 4], water_temp_c=[20, 20, 20, 90, 90, 90])
+        window = hot_engine_window(log, 85.0)
+        assert window == (3.0, 4.0)
+        assert np.all(log.window(*window).water_temp_c == 90.0)
+
+    def test_hot_only_at_the_last_cold_timestamp(self):
+        log = make_log([0, 1, 1], water_temp_c=[20, 20, 90])
+        with pytest.raises(InsufficientData, match="^water temperature never settles"):
+            hot_engine_window(log, 85.0)
+
 
 @pytest.fixture(scope="module")
 def synthetic_log():
@@ -315,12 +327,14 @@ class TestProcessLog:
 
 def log_to_trace(log, profile):
     """Dyno channels interpolated onto the processed profile's grid from the
-    raw log: the reference the trace `process_log` returns must match bit
-    for bit."""
+    raw log, gear taken from the nearest sample: the reference the trace
+    `process_log` returns must match bit for bit."""
     t_start, t_end = profile.provenance.get("hot_window_s", [log.t[0], log.t[-1]])
     uniform = log.window(t_start, t_end)
     t = profile.trace.t
-    idx = np.clip(np.searchsorted(uniform.t, t - 1e-12), 0, len(uniform) - 1)
+    # gear of the nearest sample, the earlier one on a tie
+    right = np.clip(np.searchsorted(uniform.t, t), 1, len(uniform) - 1)
+    idx = np.where(t - uniform.t[right - 1] <= uniform.t[right] - t, right - 1, right)
     return Trace(name=log.name, t=t, v=profile.trace.v, a=profile.trace.a,
                  grade=np.zeros_like(t),
                  gear=uniform.gear[idx],
@@ -358,6 +372,40 @@ class TestRigTraceOracle:
         expected = log_to_trace(synthetic_log, profile)
         for col in TRACE_COLUMNS[1:-1]:
             assert np.array_equal(getattr(profile.trace, col), getattr(expected, col)), col
+
+
+class TestSamplingRule:
+    """Rig logs and trace pairs sample a column at grid times by one rule."""
+
+    def off_grid_log(self):
+        # sampled every 0.13 s, shifting from gear 2 to 3 between 0.26 and 0.39 s
+        t = np.arange(8) * 0.13
+        return make_log(t, gear=np.where(t < 0.3, 2.0, 3.0), pedal_pct=np.linspace(0, 70, 8),
+                        fuel_gps=np.linspace(0.2, 1.6, 8))
+
+    def test_gear_of_nearest_sample(self):
+        uniform = self.off_grid_log().resampled(0.1)
+        assert uniform.t[3] == pytest.approx(0.3)
+        assert uniform.gear[3] == 2.0  # 0.26 s is nearer than 0.39 s
+        assert list(uniform.gear) == [2, 2, 2, 2, 3, 3, 3, 3, 3, 3]
+
+    def test_resampled_log_matches_align(self):
+        log = self.off_grid_log()
+        uniform = log.resampled(0.1)
+        trace = Trace(name="rig", t=log.t, v=log.v_kph, gear=log.gear, pedal=log.pedal_pct,
+                      fuel=log.fuel_gps)
+        pair = align(trace, trace, 0.1)
+        assert np.array_equal(pair.t, uniform.t)
+        for col, channel in (("gear", "gear"), ("pedal", "pedal_pct"), ("fuel", "fuel_gps")):
+            assert np.array_equal(pair.ref[col], getattr(uniform, channel)), col
+
+    def test_tie_takes_earlier_sample(self):
+        got = sample_columns(np.array([0.0, 1.0]), np.array([0.5]),
+                             {"gear": np.array([2, 3]), "flags": np.array([1, 4]),
+                              "fuel": np.array([1.0, 2.0])})
+        assert got["gear"].tolist() == [2]
+        assert got["flags"].tolist() == [1]
+        assert got["fuel"].tolist() == [1.5]
 
 
 class TestBadArguments:

@@ -22,7 +22,7 @@ from vcdfuel.extraction import (
 )
 from vcdfuel.powertrain import STANDSTILL_SPEED, simulate, wheel_force
 from vcdfuel.semi_principled import build_semi_model_from_dataset
-from vcdfuel.synthetic import cruise_cycle, default_vehicle, make_dyno_log, urban_cycle
+from vcdfuel.synthetic import builtin_cycle, cruise_cycle, default_vehicle, make_dyno_log
 
 
 def percentile_oracle(values, q):
@@ -158,7 +158,7 @@ class TestDownshiftMap:
     def test_urban_cycle_alone_names_top_gear(self, vehicle):
         with pytest.raises(InsufficientData, match=r"^cannot place the downshift cutoff of "
                                                    r"gear\(s\) \[6\]"):
-            extract_downshift_map(run_vcd(vehicle, [urban_cycle()], dt=0.1))
+            extract_downshift_map(run_vcd(vehicle, [builtin_cycle("urban")], dt=0.1))
 
     def test_cutoffs_inside_hysteresis_bands(self, vehicle, dataset):
         # events record the first step in the new gear, so the observed
@@ -323,7 +323,7 @@ class TestFitAllMaps:
         assert rms < 0.01 * trace.fuel[rows].mean()
 
     def test_missing_gear_raises(self, vehicle):
-        ds = run_vcd(vehicle, [urban_cycle()])  # never reaches top gear
+        ds = run_vcd(vehicle, [builtin_cycle("urban")])  # never reaches top gear
         with pytest.raises(InsufficientGearData) as info:
             fit_all_maps(ds, min_torque=-np.inf)
         assert info.value.gear == vehicle.params.n_gears
@@ -469,7 +469,7 @@ class TestFromTraces:
         assert {ev.cycle for ev in again.events} == {tr.name for tr in dataset.traces}
 
     def test_rig_trace_events(self, vehicle):
-        log = make_dyno_log(urban_cycle(), vehicle, seed=2024, warmup=False)
+        log = make_dyno_log(builtin_cycle("urban"), vehicle, seed=2024, warmup=False)
         trace = process_log(log).trace
         ds = VcdDataset.from_traces(vehicle.params, [trace])
         assert len(ds.events) == int(np.count_nonzero(np.diff(trace.gear)))
