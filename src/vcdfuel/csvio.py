@@ -80,6 +80,9 @@ def read_columns(path) -> dict[str, np.ndarray]:
     _settle(_pending.get(), path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
+            # numpy parses no quotes, so a cell over the csv field limit needs a longer line
+            fast = max(map(len, f.buffer), default=0) <= csv.field_size_limit()
+            f.seek(0)
             reader = csv.reader(f)
             names = [name.strip().lower() for name in next(reader, [])]
             if not names or "" in names:
@@ -88,7 +91,7 @@ def read_columns(path) -> dict[str, np.ndarray]:
                 raise ParseError(f"{path}:1: repeated column in header {','.join(names)}")
             with contextlib.suppress(Exception), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                data = np.loadtxt(f, delimiter=",", quotechar='"', comments=None, ndmin=2).T
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2).T if fast else ()
                 if len(data) == len(names) and data.size and np.isfinite(data).all():
                     return dict(zip(names, np.ascontiguousarray(data)))
             f.seek(0)

@@ -43,8 +43,6 @@ class DriveCycle:
             raise ParseError(f"cycle '{self.name}': needs at least 2 samples")
         if t[0] != 0.0:
             raise ParseError(f"cycle '{self.name}': first timestamp must be 0")
-        if np.any(np.diff(t) <= 0):
-            raise ParseError(f"cycle '{self.name}': timestamps not strictly increasing")
         if np.any(v < 0):
             raise ParseError(f"cycle '{self.name}': negative speed sample")
 

@@ -56,8 +56,6 @@ class DynoLog:
                                **{name: getattr(self, name) for name in DYNO_COLUMNS})
         for name, arr in cols.items():
             setattr(self, name, arr)
-        if np.any(np.diff(self.t) < 0):
-            raise ParseError(f"dyno log '{self.name}': timestamps must be non-decreasing")
         if np.any(self.fuel_gps < 0):
             raise ParseError(f"dyno log '{self.name}': fuel must be nonnegative")
 
@@ -78,11 +76,13 @@ class DynoLog:
 
 
 def read_dyno_csv(path) -> DynoLog:
-    """A dyno log CSV with the ``DYNO_COLUMNS`` header, named after the file stem."""
+    """A dyno log CSV with the ``DYNO_COLUMNS`` header, named after the file stem.
+    Of rows sharing a timestamp only the last, the one ``np.interp`` reads, is kept."""
     data = read_columns(path)
     if tuple(data) != DYNO_COLUMNS:
         raise ParseError(f"{path}: expected header {','.join(DYNO_COLUMNS)}")
-    return DynoLog(name=Path(path).stem, **data)
+    last = np.append(data["t"][1:] != data["t"][:-1], True)
+    return DynoLog(name=Path(path).stem, **{col: val[last] for col, val in data.items()})
 
 
 def write_dyno_csv(log: DynoLog, path) -> None:
@@ -117,8 +117,10 @@ def derive_speed(log: DynoLog, slope: float) -> np.ndarray:
 # --- smoothing and differentiation --------------------------------------------
 
 def _check_mu(mu: float) -> None:
-    if not 0.0 <= mu <= 1.0:
-        raise InvalidArgument(f"smoothing mu must be in [0, 1], got {mu}")
+    # up to 2/3 no pass raises the peak slope: inside, a pass mixes slopes convexly, and an
+    # end slope e0 becomes (1 - 2 mu) e0 + mu g1, with g1 the central slope next to it
+    if not 0.0 <= mu <= 2.0 / 3.0:
+        raise InvalidArgument(f"smoothing mu must be in [0, 2/3], got {mu}")
 
 
 def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray:
@@ -176,9 +178,8 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
     Step counts are tried in order; the first one whose derived
     acceleration fits the bound wins. If successive counts stop improving
     the peak before the bound is met, BoundNotReached is raised carrying
-    the best selection so the caller can decide. Peak acceleration must
-    never grow with extra passes; that would indicate a broken series and
-    aborts the run.
+    the best selection so the caller can decide. With mu in [0, 2/3] no
+    pass raises the peak, so the peak only falls or stalls.
     """
     if max_steps < 1:
         raise InvalidArgument("smoothing max_steps must be at least 1")
@@ -194,9 +195,6 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
             smoothed = smooth_speed(smoothed, mu=mu, steps=1)
         accel = derive_acceleration(smoothed, dt)
         cur = float(np.max(np.abs(accel)))
-        if prev_max is not None and cur > prev_max + 1e-9:
-            raise InsufficientData(
-                f"peak |a| rose from {prev_max:.6g} to {cur:.6g} at {n} steps")
         selection = SmoothingSelection(steps=n, smoothed=smoothed.copy(),
                                        accel=accel, max_abs_accel=cur)
         if cur <= bound:
@@ -212,12 +210,8 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
 
 def hot_engine_window(log: DynoLog, threshold: float = HOT_THRESHOLD_C) -> tuple[float, float]:
     """Time span [t*, t_end] where the engine is warm and stays warm."""
-    below = np.nonzero(log.water_temp_c < threshold)[0]
-    if below.size == 0:
-        return float(log.t[0]), float(log.t[-1])
-    last_cold = below[-1]
-    # strictly after the last cold time: `window` keeps every row stamped t_start
-    first_hot = np.searchsorted(log.t, log.t[last_cold], side="right")
+    cold = np.nonzero(log.water_temp_c < threshold)[0]
+    first_hot = cold[-1] + 1 if cold.size else 0
     if first_hot == len(log):
         raise InsufficientData(f"water temperature never settles above {threshold} C")
     return float(log.t[first_hot]), float(log.t[-1])
@@ -237,7 +231,7 @@ def process_log(log: DynoLog, dt: float = DT, bound: float = ACCEL_BOUND,
                 clip_fraction: float = CLIP_FRACTION, mu: float = SMOOTHING_MU,
                 hot_threshold: float = HOT_THRESHOLD_C,
                 max_steps: int = MAX_SMOOTHING_STEPS) -> ProcessedProfile:
-    """Window, resample, regress, smooth, differentiate, winsorize.
+    """Window, regress, resample, smooth, differentiate, winsorize.
 
     The trace holds the rebuilt (t, v, a) on flat grade and the other rig
     channels as resampled onto the same grid. An error names the log unless

@@ -54,8 +54,6 @@ class Trace:
                     raise ParseError(f"{owner}: column '{col}' holds non-integers")
                 val = ints
             setattr(self, col, val)
-        if np.any(np.diff(self.t) <= 0):
-            raise ParseError(f"{owner}: timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return self.t.size
@@ -75,9 +73,9 @@ class Trace:
 
 
 def checked_columns(owner: str, **columns) -> dict[str, np.ndarray]:
-    """The named columns, ``t`` first, as float arrays. ParseError naming
-    ``owner`` and the column when it is not numbers, ``t`` is not 1-D, a
-    column's shape differs from ``t``'s, or a value is not finite."""
+    """The named columns, ``t`` first, as float arrays. ParseError naming ``owner``
+    (and the column) when a column is not numbers, ``t`` is not 1-D or not strictly
+    increasing, a column's shape differs from ``t``'s, or a value is not finite."""
     for col, val in columns.items():
         try:
             columns[col] = np.asarray(val, dtype=float)
@@ -92,6 +90,8 @@ def checked_columns(owner: str, **columns) -> dict[str, np.ndarray]:
                              f"{list(t.shape)} and {list(val.shape)}")
         if not np.isfinite(val).all():
             raise ParseError(f"{owner}: column '{col}' holds non-finite values")
+    if np.any(np.diff(t) <= 0):
+        raise ParseError(f"{owner}: timestamps not strictly increasing")
     return columns
 
 

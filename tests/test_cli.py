@@ -226,7 +226,8 @@ MALFORMED = [
     ("dyno_logs", "ingest", DYNO_HEADER + DYNO_ROW + "0.1,20,1500,80,20,nan,90,2,500\n",
      "non-finite"),
     ("dyno_logs", "ingest", DYNO_HEADER, "no data rows"),
-    ("dyno_logs", "ingest", DYNO_HEADER + "1" + DYNO_ROW[1:] + DYNO_ROW, "non-decreasing"),
+    ("dyno_logs", "ingest", DYNO_HEADER + "1" + DYNO_ROW[1:] + DYNO_ROW,
+     "not strictly increasing"),
     ("cycles", "simulate", "t,v,grade\n0,0,0\n1,1,0\n", "expected header 't,v'"),
     ("cycles", "simulate", "t,v,note\n0,0,fast\n1,1,slow\n",
      "could not convert string to float: 'fast'"),
@@ -802,7 +803,7 @@ class TestConfig:
          "map degrees must be nonnegative, got [1, -1]"),
         ("fit-simplified", json.dumps({"degrees": {"C": -1}}),
          "simplified-model degrees must be nonnegative"),
-        ("ingest", json.dumps({"smoothing": {"mu": 2.0}}), "smoothing mu must be in [0, 1]"),
+        ("ingest", json.dumps({"smoothing": {"mu": 2.0}}), "smoothing mu must be in [0, 2/3]"),
         ("ingest", json.dumps({"smoothing": {"clip_fraction": 0.6}}),
          "clip fraction must be in [0, 0.5)"),
         ("ingest", json.dumps({"smoothing": {"max_steps": 0}}),
@@ -814,7 +815,7 @@ class TestConfig:
         ("ingest", json.dumps({"dyno_synthetic": {"seed": -1}}), "dyno seed must be nonnegative"),
         ("ingest", json.dumps({"smoothing": {"mu": 2.0},
                                "dyno_synthetic": {"rpm_noise": 0, "spike_rate": 0}}),
-         "smoothing mu must be in [0, 1]"),
+         "smoothing mu must be in [0, 2/3]"),
         ("ingest", json.dumps({"smoothing": {"bound": -1}}),
          "smoothing bound must be positive, got -1 m/s2"),
         ("ingest", json.dumps({"dyno_synthetic": {"spike_rate": 2.0}}),

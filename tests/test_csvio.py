@@ -132,6 +132,11 @@ class TestBackground:
             assert (tmp_path / f"{i}.csv").read_bytes() == b"t\r\n0.0\r\n1.0\r\n2.0\r\n"
 
 
+# cells over the csv module's field limit that still read as a finite number
+HUGE_ZERO = b"t,v\n0,0." + b"0" * 200_000 + b"1\n"
+HUGE_QUOTED = b't,v\n0,"' + b"\n" * 200_000 + b'1"\n'  # a cell spanning short lines
+
+
 class TestReadColumns:
     def test_header_case_and_blank_rows(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -152,8 +157,11 @@ class TestReadColumns:
         (b"t,v\n0,1\n-inf,2\n", r"c\.csv:3: non-finite value '-inf' in column 't'"),
         (b"t,v\n0,\xff\n", r"c\.csv: 'utf-8' codec can't decode"),
         (b"t,v\n0," + b"1" * 200_000 + b"\n", r"c\.csv: field larger than field limit"),
+        (HUGE_ZERO, r"c\.csv: field larger than field limit"),
+        (HUGE_QUOTED, r"c\.csv: field larger than field limit"),
     ], ids=["empty-file", "blank-header", "empty-name", "repeated", "no-rows", "ragged",
-            "not-a-number", "nan", "inf", "not-utf8", "huge-field"])
+            "not-a-number", "nan", "inf", "not-utf8", "huge-field", "huge-finite-field",
+            "huge-quoted-field"])
     def test_malformed(self, tmp_path, text, message):
         path = tmp_path / "c.csv"
         path.write_bytes(text)
@@ -223,7 +231,8 @@ def two_d(values):
 
 class TestColumnRule:
     """One rule for the columns of a Trace, DynoLog and DriveCycle: t is
-    one-dimensional, every column has t's shape, every value is finite."""
+    one-dimensional and strictly increasing, every column has t's shape,
+    every value is finite."""
 
     @pytest.mark.parametrize("kind, changes, message", [
         ("trace", {"t": two_d, "v": two_d, "gear": two_d, "flags": two_d},
@@ -257,6 +266,15 @@ class TestColumnRule:
         with pytest.raises(ParseError) as info:
             cls(name="x", **cols)
         assert str(info.value) == f"{owner}: {message}"
+
+    @pytest.mark.parametrize("kind", CONTAINERS)
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                             ids=["repeated-t", "decreasing-t"])
+    def test_t_not_strictly_increasing_is_a_parse_error(self, kind, t):
+        owner, cls, cols = CONTAINERS[kind]
+        with pytest.raises(ParseError) as info:
+            cls(name="x", **{**cols, "t": t})
+        assert str(info.value) == f"{owner}: timestamps not strictly increasing"
 
     @pytest.mark.parametrize("kind", CONTAINERS)
     @given(data=st.data())
@@ -320,6 +338,8 @@ class TestFastReader:
     @example("\ufefft\n1\n\n2\n")
     @example("t,v\n")
     @example("t,v\n1,1_0\n")
+    @example(HUGE_ZERO.decode())
+    @example(HUGE_QUOTED.decode())
     def test_same_arrays_or_error_as_per_row(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("csv") / "c.csv"
         path.write_bytes(text.encode())

@@ -3,7 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from vcdfuel.csvio import write_columns
 from vcdfuel.dyno import (
     DYNO_COLUMNS,
     DynoLog,
@@ -33,10 +37,10 @@ TRACE_COLUMNS = ("t", "v", "a", "grade", "gear", "engine_speed", "engine_torque"
                  "fuel", "flags")
 
 
-def make_log(t, v_kph=None, trans_out_rpm=None, water_temp_c=None, **kw):
+def log_columns(t, v_kph=None, trans_out_rpm=None, water_temp_c=None, **kw):
     t = np.asarray(t, dtype=float)
     n = t.size
-    fields = dict(
+    fields = dict(t=t,
         v_kph=np.zeros(n) if v_kph is None else np.asarray(v_kph, dtype=float),
         engine_rpm=np.full(n, 800.0),
         engine_torque_nm=np.full(n, 20.0),
@@ -47,7 +51,17 @@ def make_log(t, v_kph=None, trans_out_rpm=None, water_temp_c=None, **kw):
         trans_out_rpm=np.zeros(n) if trans_out_rpm is None else np.asarray(trans_out_rpm, dtype=float),
     )
     fields.update(kw)
-    return DynoLog(name="test", t=t, **fields)
+    return fields
+
+
+def make_log(t, **kw):
+    return DynoLog(name="test", **log_columns(t, **kw))
+
+
+def read_log(tmp_path, t, **kw):
+    """make_log's channels written to CSV and read back by read_dyno_csv."""
+    write_columns(tmp_path / "test.csv", log_columns(t, **kw), "%r")
+    return read_dyno_csv(tmp_path / "test.csv")
 
 
 class TestSpeedRegression:
@@ -123,14 +137,32 @@ class TestSmoothSpeed:
     def test_endpoints_average_with_the_neighbour_inside(self):
         rng = np.random.default_rng(42)
         series = rng.uniform(0, 30, 50)
-        before = smooth_speed(series, mu=0.7, steps=24)
-        out = smooth_speed(series, mu=0.7, steps=25)
-        assert out[0] == (1 - 0.7) * before[0] + 0.7 * before[1]
-        assert out[-1] == (1 - 0.7) * before[-1] + 0.7 * before[-2]
+        before = smooth_speed(series, mu=0.6, steps=24)
+        out = smooth_speed(series, mu=0.6, steps=25)
+        assert out[0] == (1 - 0.6) * before[0] + 0.6 * before[1]
+        assert out[-1] == (1 - 0.6) * before[-1] + 0.6 * before[-2]
 
     def test_too_short(self):
         with pytest.raises(InsufficientData, match="^need at least 3 samples, got 2$"):
             smooth_speed([1.0, 2.0], steps=1)
+
+    @given(st.floats(0.0, 2 / 3),
+           hnp.arrays(float, st.integers(3, 30), elements=st.floats(-1e3, 1e3)))
+    def test_no_pass_raises_the_peak_slope(self, mu, series):
+        peak = np.max(np.abs(derive_acceleration(series, 1.0)))
+        after = np.max(np.abs(derive_acceleration(smooth_speed(series, mu=mu), 1.0)))
+        assert after <= peak + 1e-12 * (1.0 + np.max(np.abs(series)))
+
+    def test_mu_above_two_thirds_can_raise_the_peak_slope(self):
+        # a pass makes the end slope e0 = -1, next to the central slope g1 = 1,
+        # (1 - 2 mu) e0 + mu g1 = 1.7 at mu = 0.9, so the peak goes 1 -> 1.7
+        series, mu = np.cumsum([1.0, -1, 3, -1, 3, -1, 3, -1, 1]), 0.9
+        mirrored = np.pad(series, 1, mode="reflect")
+        one_pass = 0.5 * mu * (mirrored[:-2] + mirrored[2:]) + (1.0 - mu) * series
+        peaks = [np.max(np.abs(derive_acceleration(s, 1.0))) for s in (series, one_pass)]
+        assert peaks == [1.0, pytest.approx(1.7)]
+        with pytest.raises(InvalidArgument, match=re.escape("must be in [0, 2/3], got 0.9")):
+            smooth_speed(series, mu=mu)
 
     def test_mu_range_validated(self):
         with pytest.raises(ValueError):
@@ -262,16 +294,16 @@ class TestHotEngineWindow:
         log = make_log(t, water_temp_c=temp)
         assert hot_engine_window(log, 85.0)[0] == 3.0
 
-    def test_repeated_timestamp_of_last_cold_sample(self):
-        log = make_log([0, 1, 2, 2, 3, 4], water_temp_c=[20, 20, 20, 90, 90, 90])
+    def test_repeated_timestamp_of_last_cold_sample(self, tmp_path):
+        # the hot row stamped 2 s is the one read_dyno_csv keeps
+        log = read_log(tmp_path, [0, 1, 2, 2, 3, 4], water_temp_c=[20, 20, 20, 90, 90, 90])
         window = hot_engine_window(log, 85.0)
-        assert window == (3.0, 4.0)
+        assert window == (2.0, 4.0)
         assert np.all(log.window(*window).water_temp_c == 90.0)
 
-    def test_hot_only_at_the_last_cold_timestamp(self):
-        log = make_log([0, 1, 1], water_temp_c=[20, 20, 90])
-        with pytest.raises(InsufficientData, match="^water temperature never settles"):
-            hot_engine_window(log, 85.0)
+    def test_hot_only_at_the_last_cold_timestamp(self, tmp_path):
+        log = read_log(tmp_path, [0, 1, 1], water_temp_c=[20, 20, 90])
+        assert hot_engine_window(log, 85.0) == (1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +415,14 @@ class TestSamplingRule:
         return make_log(t, gear=np.where(t < 0.3, 2.0, 3.0), pedal_pct=np.linspace(0, 70, 8),
                         fuel_gps=np.linspace(0.2, 1.6, 8))
 
+    def test_repeated_stamps_read_as_the_last_row(self, tmp_path):
+        # gear 3 and its fuel at t = 1 s, not gear 2 of the first row with the second's fuel
+        log = read_log(tmp_path, [0, 1, 1, 2], gear=np.array([1.0, 2, 3, 3]),
+                       fuel_gps=np.array([1.0, 2, 3, 4]))
+        uniform = log.resampled(1.0)
+        assert uniform.t.tolist() == [0.0, 1.0, 2.0]
+        assert list(zip(uniform.gear, uniform.fuel_gps)) == [(1, 1.0), (3, 3.0), (3, 4.0)]
+
     def test_gear_of_nearest_sample(self):
         uniform = self.off_grid_log().resampled(0.1)
         assert uniform.t[3] == pytest.approx(0.3)
@@ -410,7 +450,7 @@ class TestSamplingRule:
 
 class TestBadArguments:
     @pytest.mark.parametrize("kwargs, message", [
-        ({"mu": 2.0}, "smoothing mu must be in [0, 1]"),
+        ({"mu": 2.0}, "smoothing mu must be in [0, 2/3]"),
         ({"clip_fraction": 0.6}, "clip fraction must be in [0, 0.5)"),
         ({"max_steps": 0}, "smoothing max_steps must be at least 1"),
         ({"bound": -1.0}, "smoothing bound must be positive, got -1.0 m/s2"),
@@ -423,7 +463,7 @@ class TestBadArguments:
     def test_mu_checked_when_no_smoothing_is_needed(self):
         ramp = np.linspace(0.0, 10.0, 50)
         assert auto_select_smoothing(ramp, 0.1).steps == 0
-        with pytest.raises(InvalidArgument, match=re.escape("smoothing mu must be in [0, 1]")):
+        with pytest.raises(InvalidArgument, match=re.escape("smoothing mu must be in [0, 2/3]")):
             auto_select_smoothing(ramp, 0.1, mu=2.0)
 
     @pytest.mark.parametrize("kwargs, message", [
