@@ -42,7 +42,7 @@ from .semi_principled import (
     model_to_dict,
 )
 from .simplified import (
-    FitGrid,
+    default_grid,
     eval_simplified_trace,
     fit_simplified,
     load_simplified,
@@ -285,8 +285,7 @@ def cmd_extract(run: Run) -> None:
 
 def cmd_fit_simplified(run: Run) -> None:
     semi = run.semi
-    grid = FitGrid(v_range=(0.0, semi.speed_max),
-                   **{key: tuple(val) for key, val in run.cfg["grid"].items()})
+    grid = replace(default_grid(semi), **{key: tuple(val) for key, val in run.cfg["grid"].items()})
     model = run.simplified = fit_simplified(semi, grid, degrees=run.cfg["degrees"])
     _write_artifact(run.cfg, run.out / "simplified_model.json", simplified_to_dict(model))
     diag = model.diagnostics

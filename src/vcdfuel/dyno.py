@@ -123,6 +123,11 @@ def _check_mu(mu: float) -> None:
         raise InvalidArgument(f"smoothing mu must be in [0, 2/3], got {mu}")
 
 
+def _smooth_pass(s: np.ndarray, mu: float) -> np.ndarray:
+    mirrored = np.pad(s, 1, mode="reflect")
+    return 0.5 * mu * (mirrored[:-2] + mirrored[2:]) + (1.0 - mu) * s
+
+
 def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray:
     """Iterated three-point weighted average.
 
@@ -139,8 +144,7 @@ def smooth_speed(series, mu: float = SMOOTHING_MU, steps: int = 1) -> np.ndarray
     if s.size < 3:
         raise InsufficientData(f"need at least 3 samples, got {s.size}")
     for _ in range(steps):
-        mirrored = np.pad(s, 1, mode="reflect")
-        s = 0.5 * mu * (mirrored[:-2] + mirrored[2:]) + (1.0 - mu) * s
+        s = _smooth_pass(s, mu)
     return s
 
 
@@ -189,23 +193,21 @@ def auto_select_smoothing(series, dt: float, bound: float = ACCEL_BOUND,
     smoothed = np.asarray(series, dtype=float).copy()
     if smoothed.size < 3:
         raise InsufficientData(f"need at least 3 samples, got {smoothed.size}")
-    prev_max = None
+    prev_max = np.inf
     for n in range(max_steps + 1):
-        if n > 0:
-            smoothed = smooth_speed(smoothed, mu=mu, steps=1)
         accel = derive_acceleration(smoothed, dt)
         cur = float(np.max(np.abs(accel)))
-        selection = SmoothingSelection(steps=n, smoothed=smoothed.copy(),
-                                       accel=accel, max_abs_accel=cur)
-        if cur <= bound:
-            return selection
-        if prev_max is not None and prev_max - cur < CONVERGENCE_EPS:
-            raise BoundNotReached(
-                f"converged at {cur:.3g} m/s2 after {n} steps, bound {bound} unmet",
-                best=selection)
+        converged = prev_max - cur < CONVERGENCE_EPS  # what pass n gained, also for the last n
+        if cur <= bound or converged or n == max_steps:
+            break
         prev_max = cur
-    raise BoundNotReached(
-        f"peak |a| still {cur:.3g} m/s2 after {max_steps} steps", best=selection)
+        smoothed = _smooth_pass(smoothed, mu)
+    best = SmoothingSelection(steps=n, smoothed=smoothed, accel=accel, max_abs_accel=cur)
+    if cur <= bound:
+        return best
+    raise BoundNotReached(f"converged at {cur:.3g} m/s2 after {n} steps, bound {bound} unmet"
+                          if converged else
+                          f"peak |a| still {cur:.3g} m/s2 after {max_steps} steps", best=best)
 
 
 def hot_engine_window(log: DynoLog, threshold: float = HOT_THRESHOLD_C) -> tuple[float, float]:

@@ -124,18 +124,17 @@ def select_gear_stateless(model: SemiPrincipledModel, v, pedal):
     return np.clip(np.minimum(k_up, k_down), 1, model.params.n_gears)
 
 
-def _gear_maps(model: SemiPrincipledModel, idx, x, y, outside, excess):
+def _gear_maps(model: SemiPrincipledModel, idx, x, y, excess):
     """Engine speed and torque from each point's own gear maps (gear index
-    ``idx``), bit for bit each map's ``evaluate(x, y)``; ORs into ``outside``
-    where (x, y) lies outside either map's box and raises ``excess`` to the
-    largest overshoot relative to the box's span."""
+    ``idx``), bit for bit each map's ``evaluate(x, y)``; raises ``excess`` to
+    the largest overshoot of (x, y) beyond either map's box relative to the
+    box's span, so it is positive exactly where (x, y) lies outside a box."""
     values = []
     for bounds, coeffs in model._gear_tables:
         uw = []
         for z, (lo, hi, mean, std) in zip((x, y), bounds):
             lo, hi = np.take(lo, idx), np.take(hi, idx)
             beyond = np.maximum(lo - z, z - hi)
-            outside |= beyond > 0
             np.maximum(excess, np.maximum(beyond, 0.0) / np.maximum(hi - lo, 1e-9), out=excess)
             uw.append((z.clip(lo, hi) - np.take(mean, idx)) / np.take(std, idx))
         # polyval2d's Horner steps: over u within each w column, then over w
@@ -152,7 +151,7 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     inputs beyond the selected gear's boxes, as a fraction of the box's span
     (zero inside). v, a and grade broadcast together and a NaN is an
     InvalidArgument. Inputs outside the defined domain, inf included, are
-    clamped and flagged; map inputs outside the boxes likewise.
+    clamped and flagged; map inputs outside the boxes likewise, as trace.FLAG_CLAMPED says.
     """
     p = model.params
     c = model.constants
@@ -176,7 +175,7 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     del t_gear  # one row per gear; free it before the gear maps' temporaries
     excess = np.zeros(v.shape)
     engine_speed, engine_torque = _gear_maps(model, gear - 1, transmission_output_speed(p, v),
-                                             np.minimum(force, f_cap), clamped, excess)
+                                             np.minimum(force, f_cap), excess)
     engine_torque[gear == 1] += launch_torque(c.launch_correction, a[gear == 1])
 
     engine_speed = np.clip(engine_speed, p.engine_speed_idle, p.engine_speed_max)
@@ -186,8 +185,9 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     engine_torque = np.clip(engine_torque, c.torque_floor, t_cap)
 
     fuel = np.maximum(0.0, model.fuel_map.evaluate(engine_speed, engine_torque))
-    clamped |= model.fuel_map.out_of_domain(engine_speed, engine_torque)
-    flags = clamped * FLAG_CLAMPED | envelope * FLAG_ENVELOPE | floor * FLAG_FLOOR
+    # the torque floor lies below the fuel map's box: a floored row is not outside it
+    outside = (excess > 0) | (model.fuel_map.out_of_domain(engine_speed, engine_torque) & ~floor)
+    flags = (clamped | outside) * FLAG_CLAMPED | envelope * FLAG_ENVELOPE | floor * FLAG_FLOOR
     cut = (v > c.cut_speed) & (force < c.cut_force)
     fuel[cut] = 0.0
 
@@ -197,6 +197,7 @@ def evaluate(model: SemiPrincipledModel, v, a, grade=0.0):
     engine_torque[idle] = c.torque_floor
     pedal[idle] = 0.0
     fuel[idle] = c.idle_fuel
+    flags[idle] = clamped[idle] * FLAG_CLAMPED  # of a standstill row only its inputs
 
     return {"gear": gear, "engine_speed": engine_speed, "engine_torque": engine_torque,
             "pedal": pedal, "fuel": fuel, "flags": flags, "excess": excess}

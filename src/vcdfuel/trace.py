@@ -21,10 +21,10 @@ RADPS_TO_RPM = 60.0 / (2.0 * np.pi)
 
 DT = 0.1  # s, default step of the simulation, resampling and metric grids
 
-# flag bits set per step by producers
-FLAG_ENVELOPE = 1    # demanded torque clamped to the engine envelope
-FLAG_CLAMPED = 2     # model input clamped to its fitted/defined domain
-FLAG_FLOOR = 4       # demanded torque lifted to the minimum-torque floor
+# flag bits set per step by producers; a standstill row carries at most FLAG_CLAMPED, of its inputs
+FLAG_ENVELOPE = 1    # demanded torque capped at the engine envelope (reference, map-based model)
+FLAG_CLAMPED = 2     # v, a or grade clamped to its domain, or (map-based) a map input off its box
+FLAG_FLOOR = 4       # demanded torque lifted to the minimum-torque floor (map-based model)
 
 INT_COLUMNS = ("gear", "flags")  # held as integers, never blended between samples
 

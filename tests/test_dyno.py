@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from vcdfuel.csvio import write_columns
 from vcdfuel.dyno import (
+    CONVERGENCE_EPS,
     DYNO_COLUMNS,
     DynoLog,
     auto_select_smoothing,
@@ -257,6 +258,37 @@ class TestAutoSelectSmoothing:
         assert best is not None
         assert best.max_abs_accel > 0.5
         assert best.steps <= 3
+
+    @given(hnp.arrays(float, st.integers(3, 40), elements=st.floats(-1e3, 1e3)),
+           st.floats(0.0, 2 / 3), st.floats(0.01, 1.0), st.floats(1e-3, 1e5), st.integers(1, 6))
+    def test_selection_is_the_public_helpers_result(self, series, mu, dt, bound, max_steps):
+        """The selection returned, or carried by BoundNotReached, is what
+        smooth_speed and derive_acceleration give for its step count, byte for
+        byte; every smaller count missed the bound and still gained, and the
+        message says "converged" exactly when the last pass gained too little."""
+        given_series = series.copy()
+        try:
+            sel, message = auto_select_smoothing(series, dt, bound, max_steps, mu), None
+        except BoundNotReached as exc:
+            sel, message = exc.best, str(exc)
+        smoothed = smooth_speed(series, mu, steps=sel.steps)
+        accel = derive_acceleration(smoothed, dt)
+        assert sel.smoothed.tobytes() == smoothed.tobytes()
+        assert sel.accel.tobytes() == accel.tobytes()
+        assert sel.max_abs_accel == float(np.max(np.abs(accel)))
+        assert not np.shares_memory(sel.smoothed, series)
+        assert series.tobytes() == given_series.tobytes()
+        peaks = [float(np.max(np.abs(derive_acceleration(smooth_speed(series, mu, steps=n), dt))))
+                 for n in range(sel.steps + 1)]
+        gains = [np.inf] + [before - after for before, after in zip(peaks, peaks[1:])]
+        assert all(p > bound and g >= CONVERGENCE_EPS for p, g in zip(peaks[:-1], gains[:-1]))
+        if message is None:
+            assert peaks[-1] <= bound
+        elif gains[-1] < CONVERGENCE_EPS:
+            assert peaks[-1] > bound and message.startswith(f"converged at {peaks[-1]:.3g} m/s2 ")
+        else:
+            assert peaks[-1] > bound and sel.steps == max_steps
+            assert message == f"peak |a| still {peaks[-1]:.3g} m/s2 after {max_steps} steps"
 
     def test_peak_never_increases_with_steps(self):
         rng = np.random.default_rng(47)

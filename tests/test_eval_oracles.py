@@ -100,7 +100,9 @@ def loop_evaluate(model, v, a, grade=0.0):
     engine_torque = np.clip(engine_torque, c.torque_floor, t_cap)
 
     fuel = np.maximum(0.0, model.fuel_map.evaluate(engine_speed, engine_torque))
-    flags |= np.where(model.fuel_map.out_of_domain(engine_speed, engine_torque), FLAG_CLAMPED, 0)
+    # the torque floor lies below the fuel map's box: a floored row is not clamped for it
+    flags |= np.where(model.fuel_map.out_of_domain(engine_speed, engine_torque)
+                      & (flags & FLAG_FLOOR == 0), FLAG_CLAMPED, 0)
     cut = (v > c.cut_speed) & (force < c.cut_force)
     fuel[cut] = 0.0
 
@@ -110,6 +112,8 @@ def loop_evaluate(model, v, a, grade=0.0):
     engine_torque[idle] = c.torque_floor
     pedal[idle] = 0.0
     fuel[idle] = c.idle_fuel
+    # a standstill row's outputs are the idle constants: only a clamped input flags it
+    flags[idle] = np.where(clamped[idle], FLAG_CLAMPED, 0)
 
     return {"gear": gear, "engine_speed": engine_speed, "engine_torque": engine_torque,
             "pedal": pedal, "fuel": fuel, "flags": flags,
@@ -308,6 +312,30 @@ class TestInputContract:
         assert np.all(np.isfinite(out["fuel"])) and np.all(out["flags"] & FLAG_CLAMPED)
         fuel, clamped = eval_simplified(simplified_model, v, a, np.inf, with_flags=True)
         assert np.all(np.isfinite(fuel)) and np.all(clamped)
+
+
+class TestFlagMeaning:
+    """On the map-based model FLAG_CLAMPED means a clamped input or a map input
+    outside its box; a standstill row, whose outputs are the idle constants,
+    carries only the first."""
+
+    def test_standstill_rows_flag_only_their_inputs(self, semi_model):
+        flags = evaluate(semi_model, [0.0, -np.inf, 0.0], [0.0, 0.0, 9.0])["flags"]
+        assert flags.tolist() == [0, FLAG_CLAMPED, FLAG_CLAMPED]
+
+    def test_floored_row_is_not_clamped(self, semi_model):
+        out = evaluate(semi_model, 15.0, -0.5)
+        assert semi_model.constants.torque_floor < semi_model.fuel_map.domain[1][0]
+        assert out["flags"][0] == FLAG_FLOOR and out["excess"][0] == 0.0
+
+    def test_torque_above_the_fuel_map_box_is_clamped(self, semi_model):
+        out = evaluate(semi_model, 12.0, 3.0)
+        assert out["excess"][0] == 0.0 and not out["flags"][0] & (FLAG_CLAMPED | FLAG_FLOOR)
+        (n_lo, n_hi), (t_lo, _) = semi_model.fuel_map.domain
+        box = dataclasses.replace(semi_model.fuel_map,
+                                  domain=((n_lo, n_hi), (t_lo, 0.5 * out["engine_torque"][0])))
+        lowered = dataclasses.replace(semi_model, fuel_map=box)
+        assert evaluate(lowered, 12.0, 3.0)["flags"][0] & FLAG_CLAMPED
 
 
 class TestOnePass:
